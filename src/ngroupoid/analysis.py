@@ -8,21 +8,22 @@ the same property: all circuit weights are the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PathError, UnknownBasePointError
-from .groupoid import Arrow, Label
+from .groupoid import Label
 from .hypercube import Edge, HypercubeSkeleton, Square
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
-    identity_deviation,
+    identity_deviations,
     matrices_close,
     random_invertible,
-    rel_distance,
+    rel_distances,
     to_row_major,
 )
 from .mixture import MixtureSpec
@@ -134,6 +135,16 @@ class ConservativityReport:
         }
 
 
+def _square_paths(T: ObjectiveSkeleton, corners: np.ndarray, lo: int,
+                  hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both boundary paths of the squares at ``corners`` with free axes lo < hi."""
+    idx, W = T.skel.edge_index, T.W
+    b_lo, b_hi = T.skel.axis_bit(lo), T.skel.axis_bit(hi)
+    left = W[idx[corners | b_lo, hi - 1]] @ W[idx[corners, lo - 1]]
+    right = W[idx[corners | b_hi, lo - 1]] @ W[idx[corners, hi - 1]]
+    return left, right
+
+
 def face2_commutes(T: ObjectiveSkeleton, face: Square,
                    tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray]:
     """Whether the two edge paths around a square match, plus the holonomy.
@@ -146,13 +157,9 @@ def face2_commutes(T: ObjectiveSkeleton, face: Square,
     """
     if not isinstance(face, Square):
         face = T.skel.square(face)
-    c = face.corner
-    lo, hi = face.axes
-    b_lo, b_hi = T.skel.axis_bit(lo), T.skel.axis_bit(hi)
-    left = T.weight(Edge(c | b_lo, hi)) @ T.weight(Edge(c, lo))
-    right = T.weight(Edge(c | b_hi, lo)) @ T.weight(Edge(c, hi))
-    holonomy = left @ np.linalg.inv(right)
-    return matrices_close(left, right, tol), holonomy
+    left, right = _square_paths(T, np.array([face.corner]), *face.axes)
+    holonomy = left[0] @ np.linalg.inv(right[0])
+    return matrices_close(left[0], right[0], tol), holonomy
 
 
 def is_conservative(T: ObjectiveSkeleton,
@@ -160,24 +167,34 @@ def is_conservative(T: ObjectiveSkeleton,
     """Face check: commutativity of all 2-faces, with failing witnesses."""
     witnesses = []
     max_dev = 0.0
-    if T.n >= 2:
-        for sq in T.skel.two_faces():
-            ok, holonomy = face2_commutes(T, sq, tol)
-            dev = identity_deviation(holonomy)
-            max_dev = max(max_dev, dev)
-            if not ok:
-                witnesses.append(FaceWitness(sq.corner, sq.axes, holonomy, dev))
+    for lo, hi in combinations(range(1, T.n + 1), 2):
+        corners = np.flatnonzero((T.skel.edge_index[:, [lo - 1, hi - 1]] >= 0).all(axis=1))
+        left, right = _square_paths(T, corners, lo, hi)
+        holonomy = left @ np.linalg.inv(right)
+        dev = identity_deviations(holonomy)
+        max_dev = max(max_dev, float(np.max(dev, initial=0.0, where=~np.isnan(dev))))
+        for k in np.flatnonzero(~(rel_distances(left, right) <= tol)).tolist():
+            witnesses.append(
+                FaceWitness(int(corners[k]), (lo, hi), holonomy[k], float(dev[k]))
+            )
     witnesses.sort(key=lambda w: (w.corner, w.axes))
     return ConservativityReport(not witnesses, witnesses, max_dev)
 
 
+def _potential(T: ObjectiveSkeleton) -> np.ndarray:
+    # Along HypercubeSkeleton.spanning_tree(): v hangs off v minus its highest
+    # set bit j, so phi is filled in blocks [2**j, 2**(j+1)) by increasing j.
+    phi = np.empty((T.skel.num_vertices, 3, 3))
+    phi[0] = IDENTITY
+    for j in range(T.n):
+        lo = 1 << j
+        phi[lo:2 * lo] = T.W[T.skel.edge_index[:lo, T.n - 1 - j]] @ phi[:lo]
+    return phi
+
+
 def vertex_potential(T: ObjectiveSkeleton) -> list[np.ndarray]:
     """Potential built along the spanning tree; exact on tree edges."""
-    phi: list[np.ndarray | None] = [None] * T.skel.num_vertices
-    phi[0] = IDENTITY.copy()
-    for e in T.skel.spanning_tree():
-        phi[T.skel.head(e)] = T.weight(e) @ phi[e.tail]
-    return phi  # type: ignore[return-value]
+    return list(_potential(T))
 
 
 def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
@@ -185,12 +202,12 @@ def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
 
     Equivalent to all circuit weights being the identity.
     """
-    phi = vertex_potential(T)
-    for e in T.skel.cotree_edges():
-        predicted = phi[T.skel.head(e)] @ np.linalg.inv(phi[e.tail])
-        if not matrices_close(T.weight(e), predicted, tol):
-            return False
-    return True
+    phi = _potential(T)
+    tails, axes = T.skel.edge_arrays
+    bits = 1 << (T.n - axes)
+    cotree = tails >= bits  # tree edges end at a vertex whose highest bit is theirs
+    predicted = phi[tails[cotree] | bits[cotree]] @ np.linalg.inv(phi)[tails[cotree]]
+    return bool((rel_distances(T.W[cotree], predicted) <= tol).all())
 
 
 # -- generators ---------------------------------------------------------------
@@ -207,16 +224,11 @@ def skeleton_from_potential(n: int, phi: Sequence[np.ndarray],
     """Skeleton with edge weights phi[head] @ inv(phi[tail]); conservative."""
     skel = HypercubeSkeleton(n)
     if vertices is None:
-        vertices = tuple(range(skel.num_vertices))
-    weights = {}
-    for e in skel.edges():
-        head = skel.head(e)
-        weights[e] = Arrow(
-            vertices[e.tail],
-            vertices[head],
-            phi[head] @ np.linalg.inv(phi[e.tail]),
-        )
-    return ObjectiveSkeleton(n, vertices, weights)
+        vertices = range(skel.num_vertices)
+    phi = np.asarray(phi, dtype=float)
+    tails, axes = skel.edge_arrays
+    W = phi[tails | (1 << (n - axes))] @ np.linalg.inv(phi)[tails]
+    return ObjectiveSkeleton.from_array(n, vertices, W)
 
 
 def random_conservative(n: int, seed=None,
@@ -243,43 +255,25 @@ def perturb_edge(T: ObjectiveSkeleton, seed=None
     the chosen edge.
     """
     rng = _as_rng(seed)
-    edges = T.skel.edges()
-    e = edges[int(rng.integers(len(edges)))]
-    weights = dict(T.weights)
-    old = weights[e]
-    weights[e] = Arrow(old.source, old.target, PERTURBATION @ old.weight)
-    return ObjectiveSkeleton(T.n, T.vertices, weights), e
+    k = int(rng.integers(T.skel.num_edges))
+    W = T.W.copy()
+    W[k] = PERTURBATION @ W[k]
+    return ObjectiveSkeleton.from_array(T.n, T.vertices, W), T.skel.edges()[k]
 
 
-def _grid_label(coord: tuple[int, ...]) -> str:
-    return "p" + "_".join(str(c) for c in coord)
-
-
-def _window_skeleton(n: int, phi: dict[tuple[int, ...], np.ndarray],
-                     offsets: dict[int, int]) -> ObjectiveSkeleton:
-    """One cell of a potential grid, shifted by per-axis offsets."""
-    skel = HypercubeSkeleton(n)
-
-    def coord(v: int) -> tuple[int, ...]:
-        return tuple(
-            (1 if v & skel.axis_bit(a) else 0) + offsets.get(a, 0)
-            for a in range(1, n + 1)
-        )
-
-    vertices = tuple(_grid_label(coord(v)) for v in skel.vertices)
-    weights = {}
-    for e in skel.edges():
-        head = skel.head(e)
-        w = phi[coord(head)] @ np.linalg.inv(phi[coord(e.tail)])
-        weights[e] = Arrow(vertices[e.tail], vertices[head], w)
-    return ObjectiveSkeleton(n, vertices, weights)
+def _window(n: int, grid: dict[tuple[int, ...], np.ndarray],
+            offsets: dict[int, int]) -> tuple[list[np.ndarray], list[str]]:
+    """Potential and labels of one grid cell, shifted by per-axis offsets."""
+    coords = [
+        tuple(((v >> (n - a)) & 1) + offsets.get(a, 0) for a in range(1, n + 1))
+        for v in range(1 << n)
+    ]
+    return [grid[c] for c in coords], ["p" + "_".join(map(str, c)) for c in coords]
 
 
 def _grid_potential(n: int, spans: dict[int, int],
                     rng: np.random.Generator) -> dict[tuple[int, ...], np.ndarray]:
     # spans[axis] = number of stacked cells along that axis (default 1)
-    from itertools import product
-
     ranges = [range(spans.get(a, 1) + 1) for a in range(1, n + 1)]
     return {c: random_invertible(rng) for c in product(*ranges)}
 
@@ -295,7 +289,7 @@ def random_composable_chain(n: int, axis: int, count: int, seed=None
     rng = _as_rng(seed)
     phi = _grid_potential(n, {axis: count}, rng)
     return [
-        _window_skeleton(n, phi, {axis: k}) for k in range(count)
+        skeleton_from_potential(n, *_window(n, phi, {axis: k})) for k in range(count)
     ]
 
 
@@ -311,7 +305,7 @@ def random_interchange_quadruple(n: int, axis_i: int, axis_j: int, seed=None
         raise ValueError("need two distinct axes")
     rng = _as_rng(seed)
     phi = _grid_potential(n, {axis_i: 2, axis_j: 2}, rng)
-    place = lambda a, b: _window_skeleton(n, phi, {axis_i: a, axis_j: b})
+    place = lambda a, b: skeleton_from_potential(n, *_window(n, phi, {axis_i: a, axis_j: b}))
     return place(1, 1), place(0, 1), place(1, 0), place(0, 0)
 
 

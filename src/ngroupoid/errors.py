@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader raising them."""
 
 from __future__ import annotations
+
+import json
 
 
 class NGroupoidError(Exception):
@@ -42,3 +44,14 @@ class PathError(NGroupoidError):
 
 class FormatError(NGroupoidError):
     """A structured input file fails to parse or validate."""
+
+
+def read_json(path: str) -> object:
+    """Parse a JSON file; an unreadable or malformed file raises FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 DEFAULT_MAX_DIMENSION = 12
 MAX_DIMENSION_ENV = "NGROUPOID_MAX_N"
@@ -154,8 +157,8 @@ class HypercubeSkeleton:
             raise ValueError(f"dimension {n} exceeds the cap {cap}")
         self.n = n
         self.num_vertices = 1 << n
+        self.num_edges = n * self.num_vertices // 2
         self._edges: tuple[Edge, ...] | None = None
-        self._tree: tuple[Edge, ...] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -169,13 +172,23 @@ class HypercubeSkeleton:
     def edges(self) -> tuple[Edge, ...]:
         """All n * 2**(n-1) oriented edges, sorted by (tail, axis)."""
         if self._edges is None:
-            self._edges = tuple(
-                Edge(tail, axis)
-                for tail in self.vertices
-                for axis in range(1, self.n + 1)
-                if tail & self.axis_bit(axis) == 0
-            )
+            self._edges = tuple(map(Edge, *(a.tolist() for a in self.edge_arrays)))
         return self._edges
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Position in edges() by [tail, axis - 1]; -1 where tail has the axis bit."""
+        free = (np.arange(self.num_vertices)[:, None] >> np.arange(self.n)[::-1]) & 1 == 0
+        index = np.full(free.shape, -1, dtype=np.intp)
+        index[free] = np.arange(np.count_nonzero(free))
+        index.flags.writeable = False
+        return index
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tails and axes of edges(), as two integer arrays in that order."""
+        tails, cols = np.nonzero(self.edge_index >= 0)
+        return tails, cols + 1
 
     def head(self, edge: Edge) -> int:
         return edge.tail | self.axis_bit(edge.axis)
@@ -311,34 +324,16 @@ class HypercubeSkeleton:
     # -- spanning tree and cycles ---------------------------------------------
 
     def spanning_tree(self) -> tuple[Edge, ...]:
-        """Deterministic spanning tree rooted at vertex 0, in discovery order.
+        """Spanning tree rooted at vertex 0, listed so each vertex follows its parent.
 
-        Breadth-first over the underlying graph: each frontier is processed
-        in ascending vertex index, neighbours in ascending axis.  Every tree
-        edge is discovered tail-first, so iterating the result always meets
-        a vertex after its parent.
+        A vertex hangs off the vertex with its highest set bit cleared: the
+        breadth-first tree visiting vertices and axes in ascending order.
         """
-        if self._tree is None:
-            visited = {0}
-            frontier = [0]
-            tree: list[Edge] = []
-            while frontier:
-                nxt = []
-                for v in sorted(frontier):
-                    for axis in range(1, self.n + 1):
-                        u = v ^ self.axis_bit(axis)
-                        if u not in visited:
-                            visited.add(u)
-                            tree.append(Edge(min(u, v), axis))
-                            nxt.append(u)
-                frontier = nxt
-            self._tree = tuple(tree)
-        return self._tree
+        return tuple(Edge(t, self.n - j) for j in range(self.n) for t in range(1 << j))
 
     def cotree_edges(self) -> tuple[Edge, ...]:
         """Edges outside the spanning tree; they index the cycle space."""
-        tree = set(self.spanning_tree())
-        return tuple(e for e in self.edges() if e not in tree)
+        return tuple(e for e in self.edges() if e.tail >= self.axis_bit(e.axis))
 
     def simple_cycles(self) -> list[tuple[int, ...]]:
         """Every simple cycle as a vertex tuple (first vertex not repeated).

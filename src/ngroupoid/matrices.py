@@ -7,8 +7,6 @@ Frobenius distances so that tolerances survive rescaling.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 DET_THRESHOLD = 1e-12
@@ -20,12 +18,14 @@ _SQRT3 = np.sqrt(3.0)
 
 
 def as_matrix(data: object) -> np.ndarray:
-    """Coerce nested lists / arrays to a float64 3x3 matrix (copy)."""
+    """Coerce nested lists / arrays to a finite float64 3x3 matrix (copy)."""
     m = np.array(data, dtype=float)
     if m.shape == (9,):
         m = m.reshape(3, 3)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+    if np.count_nonzero(np.isfinite(m)) != 9:  # cheaper than .all() on the hot path
+        raise ValueError("matrix has non-finite entries")
     return m
 
 
@@ -65,17 +65,6 @@ def identity_deviation(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=float) - IDENTITY) / _SQRT3)
 
 
-def is_identity(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return identity_deviation(m) <= tol
-
-
-def rotation_z(degrees: float) -> np.ndarray:
-    """Right-handed rotation about the z axis."""
-    t = np.radians(degrees)
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def random_invertible(
     rng: np.random.Generator, min_det: float = 0.1
 ) -> np.ndarray:
@@ -89,9 +78,36 @@ def random_invertible(
             return m
 
 
-def product_of(weights: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-multiply weights in iteration order: later factors on the left."""
-    acc = IDENTITY.copy()
-    for w in weights:
-        acc = np.asarray(w, dtype=float) @ acc
-    return acc
+# -- stacks of (k, 3, 3) matrices, bit-identical to the scalar functions ----
+# np.linalg.norm of one matrix is sqrt(f @ f) over its flattened entries f;
+# np.linalg.norm(x, axis=(1, 2)) sums in another order, a stacked matmul not.
+
+def frobenius(ms: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack."""
+    f = ms.reshape(-1, 9)
+    return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(-1))
+
+
+def rel_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rel_distance of each pair of matrices in two equal-length stacks."""
+    na, nb = frobenius(a), frobenius(b)
+    scale = np.where(nb > na, nb, na)
+    return np.divide(frobenius(a - b), scale, out=np.zeros_like(scale), where=scale != 0.0)
+
+
+def identity_deviations(ms: np.ndarray) -> np.ndarray:
+    """identity_deviation of every matrix in a stack."""
+    return frobenius(ms - IDENTITY) / _SQRT3
+
+
+def first_invalid(ms: np.ndarray, what: str) -> tuple[int, str] | None:
+    """Position and reason of the first non-finite or singular matrix, or None."""
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    det = np.linalg.det(ms if finite.all() else np.where(finite[:, None, None], ms, IDENTITY))
+    bad = np.flatnonzero(~finite | (np.abs(det) <= DET_THRESHOLD))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if not finite[k]:
+        return k, f"{what} has non-finite entries"
+    return k, f"{what} is numerically singular (det={det[k]:.3e})"

@@ -19,12 +19,11 @@ points; point labels in files are strings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import FormatError, GroupValidationError, NGroupoidError, UnknownBasePointError
+from .errors import FormatError, GroupValidationError, UnknownBasePointError, read_json
 from .groupoid import ConstituentGroupoid, Label, SymmetryGroup
-from .matrices import DEFAULT_TOL, as_matrix, to_row_major
+from .matrices import DEFAULT_TOL, as_matrix
 
 
 @dataclass
@@ -56,24 +55,6 @@ class MixtureSpec:
         if not 1 <= axis <= self.n:
             raise ValueError(f"axis must lie in 1..{self.n}, got {axis}")
         return self.constituents[axis - 1]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "base_points": list(self.base_points),
-            "tolerance": self.tolerance,
-            "constituents": [
-                {
-                    "name": c.name,
-                    "symmetry": c.group.name
-                    or [to_row_major(g) for g in c.group],
-                    "implants": {
-                        str(p): to_row_major(k) for p, k in c.implants.items()
-                    },
-                }
-                for c in self.constituents
-            ],
-        }
 
 
 def _require(d: dict, key: str, where: str):
@@ -108,7 +89,7 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
             group = SymmetryGroup.from_spec(
                 _require(raw, "symmetry", where), tol=float(tolerance)
             )
-        except GroupValidationError as exc:
+        except (GroupValidationError, ValueError, TypeError) as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
         implants_raw = _require(raw, "implants", where)
         if not isinstance(implants_raw, dict):
@@ -124,7 +105,7 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
                     tolerance=float(tolerance),
                 )
             )
-        except (ValueError, UnknownBasePointError) as exc:
+        except (ValueError, TypeError, UnknownBasePointError) as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
 
     try:
@@ -134,18 +115,9 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
             constituents=tuple(constituents),
             tolerance=float(tolerance),
         )
-    except NGroupoidError:
-        raise
     except ValueError as exc:
         raise FormatError(f"mixture: {exc}") from exc
 
 
 def load_mixture(path: str) -> MixtureSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return mixture_from_dict(doc)
+    return mixture_from_dict(read_json(path))

@@ -13,55 +13,82 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import CompositionError, ConstructionHalted, FormatError
-from .groupoid import Arrow, Label, compose_arrows, inverse_arrow, unit_arrow
-from .hypercube import Edge, HypercubeSkeleton, insert_axis, strip_axis
-from .matrices import DEFAULT_TOL, as_matrix, matrices_close, rel_distance, to_row_major
+from .errors import CompositionError, ConstructionHalted, FormatError, read_json
+from .groupoid import Arrow, Label
+from .hypercube import Edge, HypercubeSkeleton, axis_bit, insert_axis, strip_axis
+from .matrices import DEFAULT_TOL, IDENTITY, check_invertible, first_invalid, rel_distances
 from .mixture import MixtureSpec
 
 Selector = Callable[[Edge, list[Arrow]], Arrow]
 
 
+def _check_endpoints(e: Edge, a: Arrow, vertices: tuple, head: int) -> None:
+    if a.source != vertices[e.tail] or a.target != vertices[head]:
+        raise ValueError(
+            f"edge {tuple(e)} arrow endpoints {a.source!r} -> {a.target!r} "
+            f"do not match vertices {vertices[e.tail]!r} -> {vertices[head]!r}"
+        )
+
+
 class ObjectiveSkeleton:
-    """A vertex tuple of base points plus one arrow per skeleton edge.
+    """A vertex tuple of base points plus one weight per skeleton edge.
 
     ``vertices[i]`` is the base point at hypercube vertex i (repetitions
-    allowed); ``weights`` must cover every edge exactly, with arrow
-    endpoints matching the vertex tuple.  Immutable by convention: all
-    operations return new skeletons.
+    allowed).  ``W`` is a read-only float64 array of shape (E, 3, 3) whose
+    k-th matrix weighs the k-th edge of ``skel.edges()``; every weight is
+    finite and invertible.  Immutable: all operations return new skeletons.
+
+    The constructor takes one Arrow per edge, with endpoints matching the
+    vertex tuple; ``from_array`` takes the weight array directly.
     """
 
     def __init__(self, n: int, vertices: Iterable[Label],
                  weights: Mapping[Edge, Arrow]):
-        self.skel = HypercubeSkeleton(n)
-        self.n = n
-        self.vertices: tuple[Label, ...] = tuple(vertices)
-        if len(self.vertices) != self.skel.num_vertices:
-            raise ValueError(
-                f"vertex tuple has {len(self.vertices)} entries, "
-                f"expected {self.skel.num_vertices}"
-            )
-        self.weights: dict[Edge, Arrow] = {Edge(*e): weights[e] for e in weights}
-        missing = [e for e in self.skel.edges() if e not in self.weights]
-        if missing:
-            raise ValueError(f"missing weights for edges {missing[:3]}...")
-        if len(self.weights) != len(self.skel.edges()):
-            extra = set(self.weights) - set(self.skel.edges())
-            raise ValueError(f"weights for non-edges {sorted(extra)[:3]}")
-        for e, a in self.weights.items():
-            head = self.skel.head(e)
-            if a.source != self.vertices[e.tail] or a.target != self.vertices[head]:
-                raise ValueError(
-                    f"edge {tuple(e)} arrow endpoints {a.source!r} -> {a.target!r} "
-                    f"do not match vertices {self.vertices[e.tail]!r} -> "
-                    f"{self.vertices[head]!r}"
-                )
+        skel = HypercubeSkeleton(n)
+        weights = {Edge(*e): a for e, a in weights.items()}
+        mismatch = sorted(set(weights) ^ set(skel.edges()))
+        if mismatch:
+            raise ValueError(f"weights must cover exactly the edges; differ at {mismatch[:3]}")
+        W = np.array([weights[e].weight for e in skel.edges()]).reshape(-1, 3, 3)
+        self._init(skel, tuple(vertices), W)
+        for e, a in weights.items():
+            _check_endpoints(e, a, self.vertices, skel.head(e))
+
+    @classmethod
+    def from_array(cls, n: int, vertices: Iterable[Label],
+                   W: np.ndarray) -> "ObjectiveSkeleton":
+        """Skeleton over a weight array in edges() order; the array becomes read-only."""
+        T = cls.__new__(cls)
+        T._init(HypercubeSkeleton(n), tuple(vertices), np.asarray(W, dtype=float))
+        return T
+
+    def _init(self, skel: HypercubeSkeleton, vertices: tuple, W: np.ndarray) -> None:
+        if len(vertices) != skel.num_vertices:
+            raise ValueError(f"vertex tuple has {len(vertices)} entries, "
+                             f"expected {skel.num_vertices}")
+        if W.shape != (skel.num_edges, 3, 3):
+            raise ValueError(f"weight array has shape {W.shape}, "
+                             f"expected ({skel.num_edges}, 3, 3)")
+        bad = first_invalid(W, "weight")
+        if bad:
+            raise ValueError(f"edge {tuple(skel.edges()[bad[0]])}: {bad[1]}")
+        W.flags.writeable = False
+        self.skel, self.n, self.vertices, self.W = skel, skel.n, vertices, W
 
     def weight(self, edge: Edge) -> np.ndarray:
-        return self.weights[Edge(*edge)].weight
+        edge = Edge(*edge)
+        self.skel.check_edge(edge)
+        return self.W[self.skel.edge_index[edge.tail, edge.axis - 1]]
 
     def arrow(self, edge: Edge) -> Arrow:
-        return self.weights[Edge(*edge)]
+        edge = Edge(*edge)
+        return Arrow(self.vertices[edge.tail], self.vertices[self.skel.head(edge)],
+                     self.weight(edge))
+
+    @property
+    def weights(self) -> dict[Edge, Arrow]:
+        """One Arrow per edge, built on demand."""
+        return {e: self.arrow(e) for e in self.skel.edges()}
 
     def __eq__(self, other) -> bool:
         """Bit-exact equality: same labels, same weight entries."""
@@ -70,20 +97,14 @@ class ObjectiveSkeleton:
         return (
             self.n == other.n
             and self.vertices == other.vertices
-            and all(
-                np.array_equal(self.weight(e), other.weight(e))
-                for e in self.skel.edges()
-            )
+            and np.array_equal(self.W, other.W)
         )
 
     def close_to(self, other: "ObjectiveSkeleton", tol: float = DEFAULT_TOL) -> bool:
         return (
             self.n == other.n
             and self.vertices == other.vertices
-            and all(
-                matrices_close(self.weight(e), other.weight(e), tol)
-                for e in self.skel.edges()
-            )
+            and bool((rel_distances(self.W, other.W) <= tol).all())
         )
 
     def validate_against(self, mix: MixtureSpec) -> None:
@@ -95,8 +116,8 @@ class ObjectiveSkeleton:
         for p in self.vertices:
             if p not in mix.base_points:
                 raise ValueError(f"vertex label {p!r} not in the mixture base")
-        for e, a in sorted(self.weights.items()):
-            if not mix.constituent(e.axis).contains_arrow(a, mix.tolerance):
+        for e in self.skel.edges():
+            if not mix.constituent(e.axis).contains_arrow(self.arrow(e), mix.tolerance):
                 raise ValueError(
                     f"edge {tuple(e)}: weight is not an arrow of "
                     f"constituent {mix.constituent(e.axis).name!r}"
@@ -132,19 +153,33 @@ def build(mix: MixtureSpec, W: Iterable[Label],
 
 def _facet(T: ObjectiveSkeleton, axis: int, bit: int) -> ObjectiveSkeleton:
     n = T.n
-    if not 1 <= axis <= n:
-        raise ValueError(f"axis must lie in 1..{n}, got {axis}")
-    m = n - 1
-    sub = HypercubeSkeleton(m)
-    vertices = tuple(
-        T.vertices[insert_axis(n, w, axis, bit)] for w in sub.vertices
-    )
-    weights: dict[Edge, Arrow] = {}
-    for e in sub.edges():
-        big_axis = e.axis if e.axis < axis else e.axis + 1
-        big_tail = insert_axis(n, e.tail, axis, bit)
-        weights[e] = T.arrow(Edge(big_tail, big_axis))
-    return ObjectiveSkeleton(m, vertices, weights)
+    T.skel.axis_bit(axis)  # validates the axis
+    sub = HypercubeSkeleton(n - 1)
+    big = insert_axis(n, np.arange(sub.num_vertices), axis, bit)
+    tails, axes = sub.edge_arrays
+    W = T.W[T.skel.edge_index[big[tails], axes - 1 + (axes >= axis)]]
+    return ObjectiveSkeleton.from_array(n - 1, [T.vertices[v] for v in big.tolist()], W)
+
+
+def _join(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
+          axis_weights: np.ndarray) -> ObjectiveSkeleton:
+    """The skeleton with axis-facets F0 and F1, joined by class-``axis`` edges.
+
+    ``axis_weights`` holds the class-``axis`` weights in ascending tail order.
+    """
+    n = F0.n + 1
+    skel = HypercubeSkeleton(n)
+    bit = skel.axis_bit(axis)
+    sub = strip_axis(n, np.arange(skel.num_vertices), axis).tolist()
+    vertices = [(F1 if v & bit else F0).vertices[w] for v, w in enumerate(sub)]
+    tails, axes = skel.edge_arrays
+    on, far = axes == axis, tails & bit != 0
+    W = np.empty((skel.num_edges, 3, 3))
+    W[on] = axis_weights
+    for F, sel in ((F0, ~on & ~far), (F1, ~on & far)):
+        sub_axes = axes[sel] - (axes[sel] > axis)
+        W[sel] = F.W[F.skel.edge_index[strip_axis(n, tails[sel], axis), sub_axes - 1]]
+    return ObjectiveSkeleton.from_array(n, vertices, W)
 
 
 def source_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
@@ -157,12 +192,14 @@ def target_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     return _facet(T, axis, 1)
 
 
+def _axis_weights(T: ObjectiveSkeleton, axis: int) -> np.ndarray:
+    return T.W[T.skel.edge_arrays[1] == axis]
+
+
 def _check_glue(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
                 tol: float) -> None:
     if T.n != Tp.n:
-        raise CompositionError(
-            f"dimension mismatch: {Tp.n} vs {T.n}"
-        )
+        raise CompositionError(f"dimension mismatch: {Tp.n} vs {T.n}")
     if not 1 <= axis <= T.n:
         raise CompositionError(f"axis must lie in 1..{T.n}, got {axis}")
     mid_out = target_facet(Tp, axis)
@@ -173,12 +210,14 @@ def _check_glue(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
                 f"facet vertex {w}: {a!r} != {b!r} (target facet of the first "
                 f"factor must equal source facet of the second)"
             )
-    for e in mid_out.skel.edges():
-        d = rel_distance(mid_out.weight(e), mid_in.weight(e))
-        if d > tol:
-            raise CompositionError(
-                f"facet edge {tuple(e)}: weights differ by {d:.3e} (tol {tol:.1e})"
-            )
+    d = rel_distances(mid_out.W, mid_in.W)
+    bad = np.flatnonzero(d > tol)
+    if len(bad):
+        k = bad[0]
+        raise CompositionError(
+            f"facet edge {tuple(mid_out.skel.edges()[k])}: weights differ by "
+            f"{d[k]:.3e} (tol {tol:.1e})"
+        )
 
 
 def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
@@ -190,58 +229,19 @@ def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
     weight(T-edge) @ weight(Tp-edge) over the facet correspondence.
     """
     _check_glue(T, Tp, axis, tol)
-    n = T.n
-    bit = T.skel.axis_bit(axis)
-    vertices = tuple(
-        Tp.vertices[v] if v & bit == 0 else T.vertices[v]
-        for v in T.skel.vertices
-    )
-    weights: dict[Edge, Arrow] = {}
-    for e in T.skel.edges():
-        if e.axis == axis:
-            weights[e] = Arrow(
-                Tp.vertices[e.tail],
-                T.vertices[e.tail | bit],
-                T.weight(e) @ Tp.weight(e),
-            )
-        elif e.tail & bit == 0:
-            weights[e] = Tp.arrow(e)
-        else:
-            weights[e] = T.arrow(e)
-    return ObjectiveSkeleton(n, vertices, weights)
+    return _join(source_facet(Tp, axis), target_facet(T, axis), axis,
+                 _axis_weights(T, axis) @ _axis_weights(Tp, axis))
 
 
 def unit_skeleton(F: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Degenerate skeleton with F on both axis-facets and unit axis edges."""
-    n = F.n + 1
-    skel = HypercubeSkeleton(n)
-    if not 1 <= axis <= n:
-        raise ValueError(f"axis must lie in 1..{n}, got {axis}")
-    vertices = tuple(
-        F.vertices[strip_axis(n, v, axis)] for v in skel.vertices
-    )
-    weights: dict[Edge, Arrow] = {}
-    for e in skel.edges():
-        if e.axis == axis:
-            weights[e] = unit_arrow(vertices[e.tail])
-        else:
-            sub_axis = e.axis if e.axis < axis else e.axis - 1
-            weights[e] = F.arrow(Edge(strip_axis(n, e.tail, axis), sub_axis))
-    return ObjectiveSkeleton(n, vertices, weights)
+    return _join(F, F, axis, IDENTITY)
 
 
 def inverse_axis(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Swap the two axis-facets and invert every class-``axis`` weight."""
-    n = T.n
-    bit = T.skel.axis_bit(axis)
-    vertices = tuple(T.vertices[v ^ bit] for v in T.skel.vertices)
-    weights: dict[Edge, Arrow] = {}
-    for e in T.skel.edges():
-        if e.axis == axis:
-            weights[e] = inverse_arrow(T.arrow(e))
-        else:
-            weights[e] = T.arrow(Edge(e.tail ^ bit, e.axis))
-    return ObjectiveSkeleton(n, vertices, weights)
+    return _join(target_facet(T, axis), source_facet(T, axis), axis,
+                 np.linalg.inv(_axis_weights(T, axis)))
 
 
 def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton,
@@ -254,22 +254,13 @@ def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton,
     """
     if F0.n != F1.n:
         raise CompositionError(f"facet dimension mismatch: {F0.n} vs {F1.n}")
-    n = F0.n + 1
-    skel = HypercubeSkeleton(n)
-    bit = skel.axis_bit(axis)
-    vertices = tuple(
-        (F1 if v & bit else F0).vertices[strip_axis(n, v, axis)]
-        for v in skel.vertices
-    )
-    weights: dict[Edge, Arrow] = {}
-    for e in skel.edges():
-        if e.axis == axis:
-            weights[e] = connecting[e.tail]
-        else:
-            side = F1 if e.tail & bit else F0
-            sub_axis = e.axis if e.axis < axis else e.axis - 1
-            weights[e] = side.arrow(Edge(strip_axis(n, e.tail, axis), sub_axis))
-    return ObjectiveSkeleton(n, vertices, weights)
+    bit = axis_bit(F0.n + 1, axis)
+    tails = [t for t in range(2 << F0.n) if not t & bit]
+    arrows = [connecting[t] for t in tails]
+    T = _join(F0, F1, axis, np.array([a.weight for a in arrows]).reshape(-1, 3, 3))
+    for t, a in zip(tails, arrows):
+        _check_endpoints(Edge(t, axis), a, T.vertices, t | bit)
+    return T
 
 
 def interchange_check(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton,
@@ -296,18 +287,39 @@ def interchange_check(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton,
 # -- file format ---------------------------------------------------------------
 
 def skeleton_to_dict(T: ObjectiveSkeleton) -> dict:
+    tails, axes = T.skel.edge_arrays
     return {
         "n": T.n,
         "vertices": list(T.vertices),
         "edges": [
-            {
-                "tail": e.tail,
-                "axis": e.axis,
-                "weight": to_row_major(T.weight(e)),
-            }
-            for e in T.skel.edges()
+            {"tail": tail, "axis": axis, "weight": weight}
+            for tail, axis, weight in zip(
+                tails.tolist(), axes.tolist(), T.W.reshape(-1, 9).tolist()
+            )
         ],
     }
+
+
+def _weight_rows(rows: list) -> np.ndarray:
+    """Edge-record weights as an (R, 3, 3) array; a bad one raises, named by record."""
+    try:
+        W = np.array(rows, dtype=float)
+    except (ValueError, TypeError):
+        W = None
+    if W is not None and W.shape[1:] in ((9,), (3, 3)):
+        W = W.reshape(-1, 3, 3)
+        bad = first_invalid(W, "arrow weight")
+        if bad:
+            raise FormatError(f"skeleton: edges[{bad[0]}]: {bad[1]}")
+        return W
+    # ragged, mixed or non-numeric rows: check each record on its own
+    W = np.empty((len(rows), 3, 3))
+    for idx, row in enumerate(rows):
+        try:
+            W[idx] = check_invertible(row, "arrow weight")
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"skeleton: edges[{idx}]: {exc}") from exc
+    return W
 
 
 def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
@@ -331,31 +343,35 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
         skel = HypercubeSkeleton(n)
     except ValueError as exc:
         raise FormatError(f"skeleton: {exc}") from exc
-    weights: dict[Edge, Arrow] = {}
-    for idx, rec in enumerate(edges):
-        where = f"edges[{idx}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"skeleton: {where} must be an object")
-        for key in ("tail", "axis", "weight"):
-            if key not in rec:
-                raise FormatError(f"skeleton: {where} missing field {key!r}")
-        e = Edge(rec["tail"], rec["axis"])
-        try:
-            skel.check_edge(e)
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"skeleton: {where}: {exc}") from exc
-        if e in weights:
-            raise FormatError(f"skeleton: {where}: duplicate edge {tuple(e)}")
-        try:
-            weights[e] = Arrow(
-                vertices[e.tail], vertices[skel.head(e)], as_matrix(rec["weight"])
-            )
-        except ValueError as exc:
-            raise FormatError(f"skeleton: {where}: {exc}") from exc
+    index = skel.edge_index.tolist()
+    record = [-1] * skel.num_edges  # edge position -> record index
+    rows: list = []
     try:
-        return ObjectiveSkeleton(n, vertices, weights)
-    except ValueError as exc:
-        raise FormatError(f"skeleton: {exc}") from exc
+        for idx, rec in enumerate(edges):
+            where = f"edges[{idx}]"
+            if not isinstance(rec, dict):
+                raise FormatError(f"skeleton: {where} must be an object")
+            for key in ("tail", "axis", "weight"):
+                if key not in rec:
+                    raise FormatError(f"skeleton: {where} missing field {key!r}")
+            e = Edge(rec["tail"], rec["axis"])
+            try:
+                skel.check_edge(e)
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"skeleton: {where}: {exc}") from exc
+            k = index[e.tail][e.axis - 1]
+            if record[k] >= 0:
+                raise FormatError(f"skeleton: {where}: duplicate edge {tuple(e)}")
+            record[k] = idx
+            rows.append(rec["weight"])
+    except FormatError:
+        _weight_rows(rows)  # a bad weight in an earlier record is reported first
+        raise
+    W = _weight_rows(rows)
+    if len(rows) != skel.num_edges:
+        missing = [e for e, r in zip(skel.edges(), record) if r < 0]
+        raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
+    return ObjectiveSkeleton.from_array(n, vertices, W[record])
 
 
 def dump_skeleton(T: ObjectiveSkeleton) -> str:
@@ -368,11 +384,4 @@ def save_skeleton(T: ObjectiveSkeleton, path: str) -> None:
 
 
 def load_skeleton(path: str) -> ObjectiveSkeleton:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return skeleton_from_dict(doc)
+    return skeleton_from_dict(read_json(path))

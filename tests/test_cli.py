@@ -4,7 +4,7 @@ import pytest
 
 from ngroupoid import analysis
 from ngroupoid.mixture import load_mixture
-from ngroupoid.skeleton import build, compose, load_skeleton, save_skeleton
+from ngroupoid.skeleton import build, compose, load_skeleton, save_skeleton, skeleton_to_dict
 
 
 def test_skeleton_summary_n3(run_cli):
@@ -224,3 +224,37 @@ def test_compose_argument_errors(run_cli, tmp_path):
     save_skeleton(A, str(a))
     assert run_cli("compose", a, a, "--axis", 5)[0] == 2
     assert run_cli("compose", a, tmp_path / "missing.json", "--axis", 1)[0] == 2
+
+
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_nonfinite_weight_is_an_input_error(run_cli, tmp_path, capsys, bad):
+    A, B = analysis.random_composable_chain(2, 1, 2, seed=3)
+    doc = skeleton_to_dict(A)
+    doc["edges"][2]["weight"][4] = bad
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc))
+    save_skeleton(B, str(b))
+    capsys.readouterr()
+    assert run_cli("check", a) == (2, "")
+    assert "edges[2]" in capsys.readouterr().err
+    assert run_cli("compose", a, b, "--axis", 1) == (2, "")
+    assert "edges[2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("where", ["implant", "symmetry"])
+def test_nonfinite_mixture_matrix_is_an_input_error(run_cli, tmp_path, data_dir,
+                                                    bad, where):
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    matrix = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    matrix[8] = bad
+    if where == "implant":
+        doc["constituents"][1]["implants"]["Y"] = matrix
+    else:
+        doc["constituents"][1]["symmetry"] = [matrix]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("uniformity", path) == (2, "")
