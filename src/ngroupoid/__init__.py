@@ -36,15 +36,7 @@ from .errors import (
     PathError,
     UnknownBasePointError,
 )
-from .groupoid import (
-    Arrow,
-    ConstituentGroupoid,
-    SymmetryGroup,
-    arrows_close,
-    compose_arrows,
-    inverse_arrow,
-    unit_arrow,
-)
+from .groupoid import ConstituentGroupoid, SymmetryGroup
 from .hypercube import Edge, Face, HypercubeSkeleton, Square, count_faces, two_face_count
 from .matrices import DEFAULT_TOL, DET_THRESHOLD, identity_deviation, rel_distance
 from .mixture import MixtureSpec, load_mixture, mixture_from_dict

@@ -20,6 +20,7 @@ from .hypercube import Edge, HypercubeSkeleton, Square
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
+    close_to_any,
     identity_deviations,
     matrices_close,
     random_invertible,
@@ -228,7 +229,7 @@ def skeleton_from_potential(n: int, phi: Sequence[np.ndarray],
     phi = np.asarray(phi, dtype=float)
     tails, axes = skel.edge_arrays
     W = phi[tails | (1 << (n - axes))] @ np.linalg.inv(phi)[tails]
-    return ObjectiveSkeleton.from_array(n, vertices, W)
+    return ObjectiveSkeleton(n, vertices, W)
 
 
 def random_conservative(n: int, seed=None,
@@ -258,7 +259,7 @@ def perturb_edge(T: ObjectiveSkeleton, seed=None
     k = int(rng.integers(T.skel.num_edges))
     W = T.W.copy()
     W[k] = PERTURBATION @ W[k]
-    return ObjectiveSkeleton.from_array(T.n, T.vertices, W), T.skel.edges()[k]
+    return ObjectiveSkeleton(T.n, T.vertices, W), T.skel.edges()[k]
 
 
 def _window(n: int, grid: dict[tuple[int, ...], np.ndarray],
@@ -353,28 +354,19 @@ class CoreArrowSet:
 def core_arrows(mix: MixtureSpec, X: Label, Y: Label) -> CoreArrowSet:
     """Matrices lying in every constituent's arrow set from X to Y.
 
-    Computed by enumerating the smallest constituent arrow set and testing
-    membership in all the others within the mixture tolerance.
+    Computed by keeping those arrows of the smallest constituent arrow set
+    that lie within the mixture tolerance of some arrow of every other.
     """
     for p in (X, Y):
         if p not in mix.base_points:
             raise UnknownBasePointError(f"point {p!r} not in the mixture base")
     sets = [c.arrow_set(X, Y) for c in mix.constituents]
-    if any(not s for s in sets):
-        return CoreArrowSet(X, Y, [])
     smallest = min(range(mix.n), key=lambda i: len(sets[i]))
-    kept = []
-    for cand in sets[smallest]:
-        if all(
-            i == smallest
-            or any(
-                matrices_close(cand.weight, a.weight, mix.tolerance)
-                for a in sets[i]
-            )
-            for i in range(mix.n)
-        ):
-            kept.append(cand.weight)
-    return CoreArrowSet(X, Y, kept)
+    keep = np.ones(len(sets[smallest]), dtype=bool)
+    for i, arrows in enumerate(sets):
+        if i != smallest:
+            keep &= close_to_any(sets[smallest], arrows, mix.tolerance)
+    return CoreArrowSet(X, Y, list(sets[smallest][keep]))
 
 
 @dataclass

@@ -150,8 +150,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    if not 2 <= args.n <= 5:
-        return _fail(f"--n must lie in 2..5, got {args.n}")
+    cap = dimension_cap()
+    if not 2 <= args.n <= cap:
+        return _fail(f"--n must lie in 2..{cap}, got {args.n}")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
     tol = DEFAULT_TOL if args.tol is None else args.tol

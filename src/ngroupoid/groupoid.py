@@ -7,67 +7,28 @@ its archetype.  Every arrow set is then the finite coset
 
     P_XY = { K(Y) @ g @ inv(K(X)) : g in group }
 
-which is empty as soon as either implant is missing.
+which is empty as soon as either implant is missing.  An arrow set is held
+as one float64 stack of shape (k, 3, 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .errors import CompositionError, GroupValidationError, UnknownBasePointError
+from .errors import FormatError, GroupValidationError, UnknownBasePointError
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
-    as_matrix,
     check_invertible,
-    matrices_close,
+    close_to_any,
+    first_invalid,
+    rel_distances,
 )
 
 Label = str | int
-
-
-@dataclass(frozen=True, eq=False)
-class Arrow:
-    source: Label
-    target: Label
-    weight: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weight", check_invertible(self.weight, "arrow weight")
-        )
-
-    def __repr__(self):
-        return f"Arrow({self.source!r} -> {self.target!r})"
-
-
-def unit_arrow(point: Label) -> Arrow:
-    return Arrow(point, point, IDENTITY.copy())
-
-
-def inverse_arrow(a: Arrow) -> Arrow:
-    return Arrow(a.target, a.source, np.linalg.inv(a.weight))
-
-
-def compose_arrows(b: Arrow, a: Arrow) -> Arrow:
-    """b after a; defined when a ends where b starts."""
-    if a.target != b.source:
-        raise CompositionError(
-            f"cannot compose: first arrow ends at {a.target!r}, "
-            f"second starts at {b.source!r}"
-        )
-    return Arrow(a.source, b.target, b.weight @ a.weight)
-
-
-def arrows_close(a: Arrow, b: Arrow, tol: float = DEFAULT_TOL) -> bool:
-    return (
-        a.source == b.source
-        and a.target == b.target
-        and matrices_close(a.weight, b.weight, tol)
-    )
 
 
 def _preset_groups() -> dict[str, list[np.ndarray]]:
@@ -92,7 +53,7 @@ SYMMETRY_PRESETS = tuple(sorted(_preset_groups()))
 
 
 class SymmetryGroup:
-    """Finite list of invertible 3x3 matrices forming a group.
+    """Finite group of invertible 3x3 matrices, a read-only (k, 3, 3) stack.
 
     Validated on construction: contains the identity, is closed under
     product and inverse, and has no duplicate elements, all within the
@@ -102,9 +63,10 @@ class SymmetryGroup:
     def __init__(self, elements: Iterable[object], name: str = "",
                  tol: float = DEFAULT_TOL):
         self.name = name
-        self.elements: tuple[np.ndarray, ...] = tuple(
-            check_invertible(e, "group element") for e in elements
-        )
+        self.elements = np.array(
+            [check_invertible(e, "group element") for e in elements]
+        ).reshape(-1, 3, 3)
+        self.elements.flags.writeable = False
         self._validate(tol)
 
     @classmethod
@@ -125,24 +87,19 @@ class SymmetryGroup:
         )
 
     def _validate(self, tol: float) -> None:
-        elems = self.elements
-        if not elems:
+        G = self.elements
+        if not len(G):
             raise GroupValidationError("symmetry group is empty")
-        if not any(matrices_close(g, IDENTITY, tol) for g in elems):
+        if not close_to_any(IDENTITY, G, tol):
             raise GroupValidationError("symmetry group lacks the identity")
-        for i, g in enumerate(elems):
-            for h in elems[i + 1:]:
-                if matrices_close(g, h, tol):
-                    raise GroupValidationError("duplicate group elements")
-        for g in elems:
-            if not self._contains(np.linalg.inv(g), tol):
+        if np.triu(rel_distances(G[:, None], G) <= tol, 1).any():
+            raise GroupValidationError("duplicate group elements")
+        has_inverse = close_to_any(np.linalg.inv(G), G, tol)
+        for g, ok in zip(G, has_inverse):
+            if not ok:
                 raise GroupValidationError("group not closed under inverse")
-            for h in elems:
-                if not self._contains(g @ h, tol):
-                    raise GroupValidationError("group not closed under product")
-
-    def _contains(self, m: np.ndarray, tol: float) -> bool:
-        return any(matrices_close(m, g, tol) for g in self.elements)
+            if not close_to_any(g @ G, G, tol).all():
+                raise GroupValidationError("group not closed under product")
 
     def __len__(self):
         return len(self.elements)
@@ -187,32 +144,38 @@ class ConstituentGroupoid:
                 f"point {p!r} not in base of constituent {self.name!r}"
             )
 
-    def arrow_set(self, X: Label, Y: Label) -> list[Arrow]:
-        """All arrows X -> Y, in symmetry-group enumeration order.
+    def arrow_set(self, X: Label, Y: Label) -> np.ndarray:
+        """All arrows X -> Y as a read-only (k, 3, 3) stack, in group order.
 
-        Empty when either implant is missing; deduplicated within tolerance
-        (relevant when an implant commutes with part of the group).
+        Empty, of shape (0, 3, 3), when either implant is missing.  An arrow
+        within tolerance of an earlier kept arrow is dropped; distinct group
+        elements give distinct arrows, so this matters only for wide
+        tolerances or ill-conditioned implants.  A singular or non-finite
+        arrow raises FormatError.
         """
         self._check_point(X)
         self._check_point(Y)
         kx = self.implants.get(X)
         ky = self.implants.get(Y)
         if kx is None or ky is None:
-            return []
-        kx_inv = np.linalg.inv(kx)
-        out: list[Arrow] = []
-        for g in self.group:
-            w = ky @ g @ kx_inv
-            if not any(matrices_close(w, o.weight, self.tolerance) for o in out):
-                out.append(Arrow(X, Y, w))
-        return out
+            return np.empty((0, 3, 3))
+        A = (ky @ self.group.elements) @ np.linalg.inv(kx)
+        bad = first_invalid(A, f"constituent {self.name!r}: arrow {X!r} -> {Y!r}")
+        if bad:
+            raise FormatError(bad[1])
+        earlier = np.tril(rel_distances(A[:, None], A) <= self.tolerance, -1)
+        keep = np.ones(len(A), dtype=bool)
+        for i in np.flatnonzero(earlier.any(axis=1)).tolist():
+            keep[i] = not (earlier[i] & keep).any()
+        A = A[keep]
+        A.flags.writeable = False
+        return A
 
-    def contains_arrow(self, a: Arrow, tol: float | None = None) -> bool:
+    def contains_arrow(self, X: Label, Y: Label, weight: np.ndarray,
+                       tol: float | None = None) -> bool:
+        """Whether ``weight`` lies within tolerance of some arrow X -> Y."""
         tol = self.tolerance if tol is None else tol
-        for cand in self.arrow_set(a.source, a.target):
-            if matrices_close(a.weight, cand.weight, tol):
-                return True
-        return False
+        return bool(close_to_any(weight, self.arrow_set(X, Y), tol))
 
     def is_transitive(self) -> bool:
         """True iff every ordered pair has a nonempty arrow set.

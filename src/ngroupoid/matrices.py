@@ -48,12 +48,7 @@ def rel_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     Zero for two exact zero matrices.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - b) / scale)
+    return float(rel_distances(a, b))
 
 
 def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -89,10 +84,28 @@ def frobenius(ms: np.ndarray) -> np.ndarray:
 
 
 def rel_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rel_distance of each pair of matrices in two equal-length stacks."""
+    """rel_distance of each pair of 3x3 matrices, broadcast over leading axes.
+
+    Each pair is first divided by 2**e, with 2**(e-1) <= its largest |entry|
+    < 2**e, so that no square overflows.  The division is exact: where nothing
+    overflowed, the result equals the unscaled formula bit for bit.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape[:-2]
+    a, b = a.reshape(-1, 3, 3), b.reshape(-1, 3, 3)
+    peak = np.maximum(np.abs(a).max(axis=(1, 2), initial=0.0),
+                      np.abs(b).max(axis=(1, 2), initial=0.0))
+    e = -np.frexp(peak)[1][:, None, None]
+    a, b = np.ldexp(a, e), np.ldexp(b, e)
     na, nb = frobenius(a), frobenius(b)
     scale = np.where(nb > na, nb, na)
-    return np.divide(frobenius(a - b), scale, out=np.zeros_like(scale), where=scale != 0.0)
+    d = np.divide(frobenius(a - b), scale, out=np.zeros_like(scale), where=scale != 0.0)
+    return d.reshape(shape)
+
+
+def close_to_any(ms: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each matrix in ``ms`` lies within ``tol`` of some matrix of ``stack``."""
+    return (rel_distances(np.asarray(ms)[..., None, :, :], stack) <= tol).any(axis=-1)
 
 
 def identity_deviations(ms: np.ndarray) -> np.ndarray:
@@ -103,7 +116,8 @@ def identity_deviations(ms: np.ndarray) -> np.ndarray:
 def first_invalid(ms: np.ndarray, what: str) -> tuple[int, str] | None:
     """Position and reason of the first non-finite or singular matrix, or None."""
     finite = np.isfinite(ms).all(axis=(1, 2))
-    det = np.linalg.det(ms if finite.all() else np.where(finite[:, None, None], ms, IDENTITY))
+    with np.errstate(over="ignore"):  # an infinite determinant passes
+        det = np.linalg.det(ms if finite.all() else np.where(finite[:, None, None], ms, IDENTITY))
     bad = np.flatnonzero(~finite | (np.abs(det) <= DET_THRESHOLD))
     if not len(bad):
         return None

@@ -9,25 +9,22 @@ facet to a matching source facet and multiplying the connecting weights.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CompositionError, ConstructionHalted, FormatError, read_json
-from .groupoid import Arrow, Label
-from .hypercube import Edge, HypercubeSkeleton, axis_bit, insert_axis, strip_axis
-from .matrices import DEFAULT_TOL, IDENTITY, check_invertible, first_invalid, rel_distances
+from .groupoid import Label
+from .hypercube import Edge, HypercubeSkeleton, insert_axis, strip_axis
+from .matrices import (
+    DEFAULT_TOL,
+    IDENTITY,
+    check_invertible,
+    close_to_any,
+    first_invalid,
+    rel_distances,
+)
 from .mixture import MixtureSpec
-
-Selector = Callable[[Edge, list[Arrow]], Arrow]
-
-
-def _check_endpoints(e: Edge, a: Arrow, vertices: tuple, head: int) -> None:
-    if a.source != vertices[e.tail] or a.target != vertices[head]:
-        raise ValueError(
-            f"edge {tuple(e)} arrow endpoints {a.source!r} -> {a.target!r} "
-            f"do not match vertices {vertices[e.tail]!r} -> {vertices[head]!r}"
-        )
 
 
 class ObjectiveSkeleton:
@@ -36,33 +33,14 @@ class ObjectiveSkeleton:
     ``vertices[i]`` is the base point at hypercube vertex i (repetitions
     allowed).  ``W`` is a read-only float64 array of shape (E, 3, 3) whose
     k-th matrix weighs the k-th edge of ``skel.edges()``; every weight is
-    finite and invertible.  Immutable: all operations return new skeletons.
-
-    The constructor takes one Arrow per edge, with endpoints matching the
-    vertex tuple; ``from_array`` takes the weight array directly.
+    finite and invertible.  The array passed in becomes read-only.
+    Immutable: all operations return new skeletons.
     """
 
-    def __init__(self, n: int, vertices: Iterable[Label],
-                 weights: Mapping[Edge, Arrow]):
+    def __init__(self, n: int, vertices: Iterable[Label], W: np.ndarray):
         skel = HypercubeSkeleton(n)
-        weights = {Edge(*e): a for e, a in weights.items()}
-        mismatch = sorted(set(weights) ^ set(skel.edges()))
-        if mismatch:
-            raise ValueError(f"weights must cover exactly the edges; differ at {mismatch[:3]}")
-        W = np.array([weights[e].weight for e in skel.edges()]).reshape(-1, 3, 3)
-        self._init(skel, tuple(vertices), W)
-        for e, a in weights.items():
-            _check_endpoints(e, a, self.vertices, skel.head(e))
-
-    @classmethod
-    def from_array(cls, n: int, vertices: Iterable[Label],
-                   W: np.ndarray) -> "ObjectiveSkeleton":
-        """Skeleton over a weight array in edges() order; the array becomes read-only."""
-        T = cls.__new__(cls)
-        T._init(HypercubeSkeleton(n), tuple(vertices), np.asarray(W, dtype=float))
-        return T
-
-    def _init(self, skel: HypercubeSkeleton, vertices: tuple, W: np.ndarray) -> None:
+        vertices = tuple(vertices)
+        W = np.asarray(W, dtype=float)
         if len(vertices) != skel.num_vertices:
             raise ValueError(f"vertex tuple has {len(vertices)} entries, "
                              f"expected {skel.num_vertices}")
@@ -79,16 +57,6 @@ class ObjectiveSkeleton:
         edge = Edge(*edge)
         self.skel.check_edge(edge)
         return self.W[self.skel.edge_index[edge.tail, edge.axis - 1]]
-
-    def arrow(self, edge: Edge) -> Arrow:
-        edge = Edge(*edge)
-        return Arrow(self.vertices[edge.tail], self.vertices[self.skel.head(edge)],
-                     self.weight(edge))
-
-    @property
-    def weights(self) -> dict[Edge, Arrow]:
-        """One Arrow per edge, built on demand."""
-        return {e: self.arrow(e) for e in self.skel.edges()}
 
     def __eq__(self, other) -> bool:
         """Bit-exact equality: same labels, same weight entries."""
@@ -116,39 +84,46 @@ class ObjectiveSkeleton:
         for p in self.vertices:
             if p not in mix.base_points:
                 raise ValueError(f"vertex label {p!r} not in the mixture base")
-        for e in self.skel.edges():
-            if not mix.constituent(e.axis).contains_arrow(self.arrow(e), mix.tolerance):
-                raise ValueError(
-                    f"edge {tuple(e)}: weight is not an arrow of "
-                    f"constituent {mix.constituent(e.axis).name!r}"
-                )
+        # one arrow set per (axis, tail label, head label), all its edges at once
+        tails, axes = self.skel.edge_arrays
+        heads = tails | (1 << (self.n - axes))
+        V = self.vertices
+        groups: dict[tuple, list[int]] = {}
+        for k, (a, t, h) in enumerate(zip(axes.tolist(), tails.tolist(), heads.tolist())):
+            groups.setdefault((a, V[t], V[h]), []).append(k)
+        member = np.empty(len(tails), dtype=bool)
+        for (a, X, Y), rows in groups.items():
+            arrows = mix.constituent(a).arrow_set(X, Y)
+            member[rows] = close_to_any(self.W[rows], arrows, mix.tolerance)
+        bad = np.flatnonzero(~member)
+        if len(bad):
+            e = self.skel.edges()[bad[0]]
+            raise ValueError(
+                f"edge {tuple(e)}: weight is not an arrow of "
+                f"constituent {mix.constituent(e.axis).name!r}"
+            )
 
     def __repr__(self):
         return f"ObjectiveSkeleton(n={self.n}, vertices={self.vertices!r})"
 
 
-def _first_arrow(edge: Edge, arrows: list[Arrow]) -> Arrow:
-    # canonical choice: smallest symmetry-group enumeration index
-    return arrows[0]
+def build(mix: MixtureSpec, vertices: Iterable[Label]) -> ObjectiveSkeleton:
+    """Construct the objective skeleton over a vertex tuple of base points.
 
-
-def build(mix: MixtureSpec, W: Iterable[Label],
-          selector: Selector = _first_arrow) -> ObjectiveSkeleton:
-    """Construct the objective skeleton over W, one arrow per edge.
-
-    Raises ConstructionHalted as soon as some edge has an empty arrow set:
-    no skeleton exists over this tuple.
+    Each edge carries the first arrow of its arrow set, the one from the
+    first symmetry-group element.  Raises ConstructionHalted as soon as some
+    edge has an empty arrow set: no skeleton exists over this tuple.
     """
-    W = tuple(W)
+    vertices = tuple(vertices)
     skel = HypercubeSkeleton(mix.n)
-    weights: dict[Edge, Arrow] = {}
-    for e in skel.edges():
-        X, Y = W[e.tail], W[skel.head(e)]
+    W = np.empty((skel.num_edges, 3, 3))
+    for k, e in enumerate(skel.edges()):
+        X, Y = vertices[e.tail], vertices[skel.head(e)]
         arrows = mix.constituent(e.axis).arrow_set(X, Y)
-        if not arrows:
+        if not len(arrows):
             raise ConstructionHalted(e, e.axis, X, Y)
-        weights[e] = selector(e, arrows)
-    return ObjectiveSkeleton(mix.n, W, weights)
+        W[k] = arrows[0]
+    return ObjectiveSkeleton(mix.n, vertices, W)
 
 
 def _facet(T: ObjectiveSkeleton, axis: int, bit: int) -> ObjectiveSkeleton:
@@ -158,15 +133,17 @@ def _facet(T: ObjectiveSkeleton, axis: int, bit: int) -> ObjectiveSkeleton:
     big = insert_axis(n, np.arange(sub.num_vertices), axis, bit)
     tails, axes = sub.edge_arrays
     W = T.W[T.skel.edge_index[big[tails], axes - 1 + (axes >= axis)]]
-    return ObjectiveSkeleton.from_array(n - 1, [T.vertices[v] for v in big.tolist()], W)
+    return ObjectiveSkeleton(n - 1, [T.vertices[v] for v in big.tolist()], W)
 
 
-def _join(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
-          axis_weights: np.ndarray) -> ObjectiveSkeleton:
-    """The skeleton with axis-facets F0 and F1, joined by class-``axis`` edges.
+def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
+                         weights: np.ndarray) -> ObjectiveSkeleton:
+    """The n-skeleton with axis-facets F0 and F1, joined by class-``axis`` edges.
 
-    ``axis_weights`` holds the class-``axis`` weights in ascending tail order.
+    ``weights`` holds the class-``axis`` weights in ascending tail order.
     """
+    if F0.n != F1.n:
+        raise CompositionError(f"facet dimension mismatch: {F0.n} vs {F1.n}")
     n = F0.n + 1
     skel = HypercubeSkeleton(n)
     bit = skel.axis_bit(axis)
@@ -175,11 +152,11 @@ def _join(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
     tails, axes = skel.edge_arrays
     on, far = axes == axis, tails & bit != 0
     W = np.empty((skel.num_edges, 3, 3))
-    W[on] = axis_weights
+    W[on] = weights
     for F, sel in ((F0, ~on & ~far), (F1, ~on & far)):
         sub_axes = axes[sel] - (axes[sel] > axis)
         W[sel] = F.W[F.skel.edge_index[strip_axis(n, tails[sel], axis), sub_axes - 1]]
-    return ObjectiveSkeleton.from_array(n, vertices, W)
+    return ObjectiveSkeleton(n, vertices, W)
 
 
 def source_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
@@ -229,38 +206,19 @@ def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
     weight(T-edge) @ weight(Tp-edge) over the facet correspondence.
     """
     _check_glue(T, Tp, axis, tol)
-    return _join(source_facet(Tp, axis), target_facet(T, axis), axis,
-                 _axis_weights(T, axis) @ _axis_weights(Tp, axis))
+    return assemble_from_facets(source_facet(Tp, axis), target_facet(T, axis), axis,
+                                _axis_weights(T, axis) @ _axis_weights(Tp, axis))
 
 
 def unit_skeleton(F: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Degenerate skeleton with F on both axis-facets and unit axis edges."""
-    return _join(F, F, axis, IDENTITY)
+    return assemble_from_facets(F, F, axis, IDENTITY)
 
 
 def inverse_axis(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Swap the two axis-facets and invert every class-``axis`` weight."""
-    return _join(target_facet(T, axis), source_facet(T, axis), axis,
-                 np.linalg.inv(_axis_weights(T, axis)))
-
-
-def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton,
-                         axis: int,
-                         connecting: Mapping[int, Arrow]) -> ObjectiveSkeleton:
-    """Rebuild an n-skeleton from its two axis-facets and connecting arrows.
-
-    ``connecting`` maps each facet-0 vertex index (in the assembled,
-    n-dimensional numbering) to the arrow along the gluing axis.
-    """
-    if F0.n != F1.n:
-        raise CompositionError(f"facet dimension mismatch: {F0.n} vs {F1.n}")
-    bit = axis_bit(F0.n + 1, axis)
-    tails = [t for t in range(2 << F0.n) if not t & bit]
-    arrows = [connecting[t] for t in tails]
-    T = _join(F0, F1, axis, np.array([a.weight for a in arrows]).reshape(-1, 3, 3))
-    for t, a in zip(tails, arrows):
-        _check_endpoints(Edge(t, axis), a, T.vertices, t | bit)
-    return T
+    return assemble_from_facets(target_facet(T, axis), source_facet(T, axis), axis,
+                                np.linalg.inv(_axis_weights(T, axis)))
 
 
 def interchange_check(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton,
@@ -371,7 +329,7 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if len(rows) != skel.num_edges:
         missing = [e for e, r in zip(skel.edges(), record) if r < 0]
         raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
-    return ObjectiveSkeleton.from_array(n, vertices, W[record])
+    return ObjectiveSkeleton(n, vertices, W[record])
 
 
 def dump_skeleton(T: ObjectiveSkeleton) -> str:

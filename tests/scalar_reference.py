@@ -1,14 +1,23 @@
 """Per-edge, per-face reference implementations, used only by the tests.
 
-These are the original loop versions of the batched checkers: one 3x3
-product per call, driven by the hypercube enumerations.  The batched code
+These are the original loop versions of the batched checkers and of the
+groupoid layer: one 3x3 product or distance per call, driven by the
+hypercube enumerations and by loops over group elements.  The batched code
 must reproduce their results bit for bit.
 """
 import numpy as np
 
 from ngroupoid.analysis import FaceWitness
 from ngroupoid.hypercube import Edge, HypercubeSkeleton, insert_axis
-from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, identity_deviation, rel_distance
+from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, identity_deviation
+
+
+def rel_distance(a, b):
+    """Frobenius distance over the larger operand norm, without rescaling."""
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    if scale == 0.0:
+        return 0.0
+    return float(np.linalg.norm(a - b) / scale)
 
 
 def face2_commutes(T, face, tol=DEFAULT_TOL):
@@ -91,4 +100,75 @@ def glue_error(T, Tp, axis, tol=DEFAULT_TOL):
         d = rel_distance(out, into)
         if d > tol:
             return f"facet edge {tuple(e)}: weights differ by {d:.3e} (tol {tol:.1e})"
+    return None
+
+
+# -- groupoid layer -------------------------------------------------------------
+
+def group_error(elements, tol=DEFAULT_TOL):
+    """Message of the first group axiom the element list fails, or None."""
+    elems = [np.asarray(g, dtype=float) for g in elements]
+
+    def contains(m):
+        return any(rel_distance(m, g) <= tol for g in elems)
+
+    if not elems:
+        return "symmetry group is empty"
+    if not contains(IDENTITY):
+        return "symmetry group lacks the identity"
+    for i, g in enumerate(elems):
+        for h in elems[i + 1:]:
+            if rel_distance(g, h) <= tol:
+                return "duplicate group elements"
+    for g in elems:
+        if not contains(np.linalg.inv(g)):
+            return "group not closed under inverse"
+        for h in elems:
+            if not contains(g @ h):
+                return "group not closed under product"
+    return None
+
+
+def arrow_set(c, X, Y):
+    """Arrows X -> Y of constituent c as a list, one group element at a time."""
+    kx = c.implants.get(X)
+    ky = c.implants.get(Y)
+    if kx is None or ky is None:
+        return []
+    kx_inv = np.linalg.inv(kx)
+    out = []
+    for g in c.group:
+        w = ky @ g @ kx_inv
+        if not any(rel_distance(w, o) <= c.tolerance for o in out):
+            out.append(w)
+    return out
+
+
+def contains_arrow(c, X, Y, weight, tol=None):
+    tol = c.tolerance if tol is None else tol
+    return any(rel_distance(weight, a) <= tol for a in arrow_set(c, X, Y))
+
+
+def core_arrows(mix, X, Y):
+    sets = [arrow_set(c, X, Y) for c in mix.constituents]
+    if any(not s for s in sets):
+        return []
+    smallest = min(range(mix.n), key=lambda i: len(sets[i]))
+    return [
+        cand for cand in sets[smallest]
+        if all(
+            i == smallest
+            or any(rel_distance(cand, a) <= mix.tolerance for a in sets[i])
+            for i in range(mix.n)
+        )
+    ]
+
+
+def validate_error(T, mix):
+    """Message for the first edge whose weight is no arrow of its constituent, or None."""
+    for e in T.skel.edges():
+        c = mix.constituent(e.axis)
+        X, Y = T.vertices[e.tail], T.vertices[T.skel.head(e)]
+        if not contains_arrow(c, X, Y, T.weight(e), mix.tolerance):
+            return f"edge {tuple(e)}: weight is not an arrow of constituent {c.name!r}"
     return None

@@ -22,7 +22,6 @@ from ngroupoid.analysis import (
     walk_steps,
 )
 from ngroupoid.errors import PathError, UnknownBasePointError
-from ngroupoid.groupoid import unit_arrow
 from ngroupoid.hypercube import Edge, HypercubeSkeleton
 from ngroupoid.matrices import identity_deviation, rel_distance
 from ngroupoid.mixture import load_mixture
@@ -32,9 +31,7 @@ from ngroupoid.skeleton import ObjectiveSkeleton, compose
 def all_unit(n):
     skel = HypercubeSkeleton(n)
     vertices = tuple("X" for _ in skel.vertices)
-    return ObjectiveSkeleton(
-        n, vertices, {e: unit_arrow("X") for e in skel.edges()}
-    )
+    return ObjectiveSkeleton(n, vertices, np.tile(np.eye(3), (skel.num_edges, 1, 1)))
 
 
 def test_path_weight_empty_is_identity():
@@ -87,14 +84,11 @@ def test_face2_potential_commutes():
 def test_face2_doubled_edge_fails():
     T = random_conservative(2, seed=12)
     sq = T.skel.two_faces()[0]
-    weights = dict(T.weights)
-    e = Edge(0, 1)  # the axis-1 edge at the corner
-    old = weights[e]
-    from ngroupoid.groupoid import Arrow
-
+    W = T.W.copy()
+    k = T.skel.edge_index[0, 0]  # the axis-1 edge at the corner
     D = np.diag([2.0, 1.0, 1.0])
-    weights[e] = Arrow(old.source, old.target, old.weight @ D)
-    bad = ObjectiveSkeleton(2, T.vertices, weights)
+    W[k] = W[k] @ D
+    bad = ObjectiveSkeleton(2, T.vertices, W)
     ok, hol = face2_commutes(bad, sq)
     assert not ok
     # right-multiplying the corner edge conjugates the perturbation away:

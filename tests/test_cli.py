@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ngroupoid import analysis
+from ngroupoid.hypercube import dimension_cap
 from ngroupoid.mixture import load_mixture
 from ngroupoid.skeleton import build, compose, load_skeleton, save_skeleton, skeleton_to_dict
 
@@ -183,11 +184,14 @@ def test_verify_theorem(run_cli):
     assert code == 0
     assert "total: 10/10 agreements" in out
     assert "max holonomy deviation" in out
+    code, out = run_cli("verify-theorem", "--n", 6, "--trials", 1)
+    assert code == 0
+    assert "total: 2/2 agreements" in out
 
 
 def test_verify_theorem_argument_errors(run_cli):
     assert run_cli("verify-theorem", "--n", 1, "--trials", 5)[0] == 2
-    assert run_cli("verify-theorem", "--n", 6, "--trials", 5)[0] == 2
+    assert run_cli("verify-theorem", "--n", dimension_cap() + 1, "--trials", 5)[0] == 2
     assert run_cli("verify-theorem", "--n", 3, "--trials", 0)[0] == 2
 
 
@@ -258,3 +262,33 @@ def test_nonfinite_mixture_matrix_is_an_input_error(run_cli, tmp_path, data_dir,
     path = tmp_path / "mix.json"
     path.write_text(json.dumps(doc))
     assert run_cli("uniformity", path) == (2, "")
+
+
+def test_near_singular_arrow_is_an_input_error(run_cli, tmp_path, data_dir, capsys):
+    # both implants clear the determinant check; the arrow X -> Y has det 2e-15
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    doc["constituents"][1]["implants"] = {
+        "X": [10.0, 0, 0, 0, 10.0, 0, 0, 0, 10.0],
+        "Y": [1e-4, 0, 0, 0, 1e-4, 0, 0, 0, 2e-4],
+    }
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: constituent 'beta': arrow 'X' -> 'Y' is numerically singular "
+        "(det=2.000e-15)\n"
+    )
+
+
+def test_huge_finite_weights_still_agree(run_cli, tmp_path):
+    # squares of these entries overflow; the skeleton is still conservative
+    doc = skeleton_to_dict(analysis.random_conservative(2, seed=0))
+    for rec in doc["edges"]:
+        if (rec["tail"], rec["axis"]) in ((0, 1), (0, 2)):
+            rec["weight"] = [1e200 * w for w in rec["weight"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("check", path)
+    assert code == 0
+    assert "checkers agree: conservative" in out

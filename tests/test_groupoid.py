@@ -1,75 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from ngroupoid.errors import (
-    CompositionError,
+    FormatError,
     GroupValidationError,
     UnknownBasePointError,
 )
-from ngroupoid.groupoid import (
-    Arrow,
-    ConstituentGroupoid,
-    SymmetryGroup,
-    arrows_close,
-    compose_arrows,
-    inverse_arrow,
-    unit_arrow,
-)
+from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.matrices import rel_distance
 
 I3 = np.eye(3)
 R90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-def entries():
-    return st.floats(-1.0, 1.0, allow_nan=False)
-
-
-def invertible():
-    return (
-        st.lists(entries(), min_size=9, max_size=9)
-        .map(lambda v: np.array(v).reshape(3, 3))
-        .filter(lambda m: abs(np.linalg.det(m)) > 0.1)
-    )
-
-
-def test_compose_matrix_product():
-    a = Arrow("X", "Y", np.diag([2.0, 1.0, 1.0]))
-    b = Arrow("Y", "Z", np.diag([1.0, 3.0, 1.0]))
-    c = compose_arrows(b, a)
-    assert c.source == "X" and c.target == "Z"
-    assert np.allclose(c.weight, np.diag([2.0, 3.0, 1.0]))
-
-
-def test_unit_and_inverse_laws():
-    a = Arrow("X", "Y", np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
-    assert arrows_close(compose_arrows(unit_arrow("Y"), a), a, 1e-12)
-    assert arrows_close(compose_arrows(a, unit_arrow("X")), a, 1e-12)
-    u = compose_arrows(inverse_arrow(a), a)
-    assert arrows_close(u, unit_arrow("X"), 1e-12)
-
-
-def test_compose_endpoint_mismatch():
-    a = Arrow("X", "Y", I3)
-    b = Arrow("Z", "W", I3)
-    with pytest.raises(CompositionError):
-        compose_arrows(b, a)
-
-
-def test_singular_weight_rejected():
-    with pytest.raises(ValueError):
-        Arrow("X", "Y", np.zeros((3, 3)))
-
-
-@given(invertible(), invertible(), invertible())
-def test_compose_associative(m1, m2, m3):
-    a = Arrow("P", "Q", m1)
-    b = Arrow("Q", "R", m2)
-    c = Arrow("R", "S", m3)
-    left = compose_arrows(c, compose_arrows(b, a))
-    right = compose_arrows(compose_arrows(c, b), a)
-    assert rel_distance(left.weight, right.weight) < 1e-12
 
 
 def make_constituent(implants, symmetry="trivial", base=("X", "Y"), **kw):
@@ -82,17 +23,48 @@ def make_constituent(implants, symmetry="trivial", base=("X", "Y"), **kw):
     )
 
 
+def test_compose_matrix_product():
+    c = make_constituent(
+        {"X": I3, "Y": np.diag([2.0, 1.0, 1.0]), "Z": np.diag([2.0, 3.0, 1.0])},
+        base=("X", "Y", "Z"),
+    )
+    a = c.arrow_set("X", "Y")[0]
+    b = c.arrow_set("Y", "Z")[0]
+    assert np.allclose(a, np.diag([2.0, 1.0, 1.0]))
+    assert np.allclose(b, np.diag([1.0, 3.0, 1.0]))
+    assert np.allclose(b @ a, np.diag([2.0, 3.0, 1.0]))
+    assert c.contains_arrow("X", "Z", b @ a)
+
+
+def test_unit_and_inverse_laws():
+    A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    c = make_constituent({"X": I3, "Y": A})
+    a = c.arrow_set("X", "Y")[0]
+    unit_x, unit_y = c.arrow_set("X", "X")[0], c.arrow_set("Y", "Y")[0]
+    assert rel_distance(unit_y @ a, a) <= 1e-12
+    assert rel_distance(a @ unit_x, a) <= 1e-12
+    assert rel_distance(c.arrow_set("Y", "X")[0] @ a, unit_x) <= 1e-12
+
+
+def test_singular_weight_rejected():
+    # both implants pass the determinant check, the arrow X -> Y does not
+    c = make_constituent({"X": 10 * I3, "Y": np.diag([1e-4, 1e-4, 2e-4])})
+    with pytest.raises(FormatError, match=r"'c': arrow 'X' -> 'Y' is numerically singular"):
+        c.arrow_set("X", "Y")
+    assert len(c.arrow_set("Y", "X")) == 1
+
+
 def test_arrow_set_identity_implants():
     c = make_constituent({"X": I3, "Y": I3})
     arrows = c.arrow_set("X", "Y")
-    assert len(arrows) == 1
-    assert np.allclose(arrows[0].weight, I3)
+    assert arrows.shape == (1, 3, 3)
+    assert np.allclose(arrows[0], I3)
 
 
 def test_arrow_set_missing_implant_is_empty():
     c = make_constituent({"X": I3})
-    assert c.arrow_set("X", "Y") == []
-    assert c.arrow_set("Y", "X") == []
+    assert c.arrow_set("X", "Y").shape == (0, 3, 3)
+    assert c.arrow_set("Y", "X").shape == (0, 3, 3)
     assert len(c.arrow_set("X", "X")) == 1
 
 
@@ -100,7 +72,7 @@ def test_arrow_set_coset_formula():
     c = make_constituent({"X": I3, "Y": R90})
     arrows = c.arrow_set("X", "Y")
     assert len(arrows) == 1
-    assert np.allclose(arrows[0].weight, R90)
+    assert np.allclose(arrows[0], R90)
 
 
 def test_arrow_set_enumerates_group_cosets():
@@ -108,7 +80,7 @@ def test_arrow_set_enumerates_group_cosets():
     arrows = c.arrow_set("X", "Y")
     assert len(arrows) == 4
     # canonical first element comes from the identity group element
-    assert np.allclose(arrows[0].weight, I3)
+    assert np.allclose(arrows[0], I3)
 
 
 def test_arrow_set_dedupes_within_tolerance():
@@ -127,10 +99,10 @@ def test_arrow_set_unknown_point():
 
 def test_contains_arrow():
     c = make_constituent({"X": I3, "Y": I3})
-    assert c.contains_arrow(unit_arrow("X"))
-    assert not c.contains_arrow(Arrow("X", "Y", 2 * I3))
+    assert c.contains_arrow("X", "X", I3)
+    assert not c.contains_arrow("X", "Y", 2 * I3)
     wobble = I3 + 1e-12 * np.ones((3, 3))
-    assert c.contains_arrow(Arrow("X", "Y", wobble), tol=1e-9)
+    assert c.contains_arrow("X", "Y", wobble, tol=1e-9)
 
 
 def test_is_transitive():
@@ -138,13 +110,13 @@ def test_is_transitive():
     assert not make_constituent({"X": I3}).is_transitive()
     unequal = make_constituent({"X": I3, "Y": 2 * I3})
     assert unequal.is_transitive()
-    assert unequal.arrow_set("X", "Y") and unequal.arrow_set("Y", "X")
+    assert len(unequal.arrow_set("X", "Y")) and len(unequal.arrow_set("Y", "X"))
 
 
 def test_transitive_means_no_empty_sets():
     c = make_constituent({"X": I3, "Y": R90}, symmetry="cyclic_z_2")
     assert c.is_transitive() == all(
-        c.arrow_set(a, b) for a in c.base for b in c.base
+        len(c.arrow_set(a, b)) for a in c.base for b in c.base
     )
 
 
@@ -186,18 +158,14 @@ def test_group_explicit_element_list():
     assert len(g) == 2
 
 
-def weight_set(arrows):
-    return [a.weight for a in arrows]
-
-
 def test_arrow_sets_inverse_images():
     c = make_constituent({"X": I3, "Y": R90}, symmetry="orthorhombic")
     fwd = c.arrow_set("X", "Y")
     back = c.arrow_set("Y", "X")
     assert len(fwd) == len(back)
     for a in fwd:
-        inv = inverse_arrow(a)
-        assert any(rel_distance(inv.weight, b.weight) < 1e-9 for b in back)
+        inv = np.linalg.inv(a)
+        assert any(rel_distance(inv, b) < 1e-9 for b in back)
 
 
 def test_arrow_sets_closed_under_composition():
@@ -210,7 +178,7 @@ def test_arrow_sets_closed_under_composition():
     c = make_constituent(K, symmetry="cyclic_z_4", base=base)
     for a in c.arrow_set("X", "Y"):
         for b in c.arrow_set("Y", "Z"):
-            assert c.contains_arrow(compose_arrows(b, a), tol=1e-9)
+            assert c.contains_arrow("X", "Z", b @ a, tol=1e-9)
 
 
 def test_implant_at_undeclared_point_rejected():

@@ -9,7 +9,6 @@ from ngroupoid.analysis import (
     random_interchange_quadruple,
 )
 from ngroupoid.errors import CompositionError, ConstructionHalted, FormatError
-from ngroupoid.groupoid import Arrow, unit_arrow
 from ngroupoid.hypercube import Edge
 from ngroupoid.mixture import mixture_from_dict
 from ngroupoid.skeleton import (
@@ -31,6 +30,7 @@ from ngroupoid.skeleton import (
 
 I9 = [1, 0, 0, 0, 1, 0, 0, 0, 1]
 SHEAR = [1, 1, 0, 0, 1, 0, 0, 0, 1]
+UNIT = np.eye(3)[None]  # the weights of a one-edge skeleton with a unit arrow
 
 
 def one_constituent_mixture():
@@ -89,34 +89,21 @@ def test_build_coset_weights():
     T.validate_against(mix)
 
 
-def test_build_custom_selector():
-    mix = two_constituent_mixture(second_symmetry="cyclic_z_4")
-    last = lambda edge, arrows: arrows[-1]
-    T = build(mix, ("X", "X", "X", "X"), selector=last)
-    beta = mix.constituent(2)
-    expected = beta.arrow_set("X", "X")[-1].weight
-    assert np.allclose(T.weight(Edge(0, 2)), expected)
-    T.validate_against(mix)
-
-
 def test_constructor_validation():
-    u = unit_arrow("X")
     with pytest.raises(ValueError):
-        ObjectiveSkeleton(1, ("X",), {Edge(0, 1): u})
+        ObjectiveSkeleton(1, ("X",), UNIT)
     with pytest.raises(ValueError):
-        ObjectiveSkeleton(1, ("X", "X"), {})
-    with pytest.raises(ValueError):
-        # arrow endpoints must match the vertex tuple
-        ObjectiveSkeleton(1, ("X", "Y"), {Edge(0, 1): u})
+        ObjectiveSkeleton(1, ("X", "X"), np.empty((0, 3, 3)))
+    with pytest.raises(ValueError, match="singular"):
+        ObjectiveSkeleton(1, ("X", "Y"), np.zeros((1, 3, 3)))
 
 
 def test_validate_against_rejects_foreign_arrow():
     mix = two_constituent_mixture()
     T = build(mix, ("X", "Y", "X", "Y"))
-    weights = dict(T.weights)
-    old = weights[Edge(0, 2)]
-    weights[Edge(0, 2)] = Arrow(old.source, old.target, 2 * old.weight)
-    bad = ObjectiveSkeleton(2, T.vertices, weights)
+    W = T.W.copy()
+    W[T.skel.edge_index[0, 1]] *= 2  # edge (0, 2)
+    bad = ObjectiveSkeleton(2, T.vertices, W)
     with pytest.raises(ValueError, match="constituent"):
         bad.validate_against(mix)
 
@@ -147,7 +134,7 @@ def test_facets_follow_the_bit_convention():
 
 
 def test_unit_skeleton_of_a_point():
-    F = ObjectiveSkeleton(0, ("X",), {})
+    F = ObjectiveSkeleton(0, ("X",), np.empty((0, 3, 3)))
     U = unit_skeleton(F, 1)
     assert U.n == 1
     assert U.vertices == ("X", "X")
@@ -211,11 +198,9 @@ def test_compose_rejects_vertex_mismatch():
 
 def test_compose_rejects_weight_mismatch():
     A, B = random_composable_chain(2, 1, 2, seed=5)
-    weights = dict(B.weights)
-    e = Edge(0, 2)  # lives on B's source facet for axis 1
-    old = weights[e]
-    weights[e] = Arrow(old.source, old.target, 2 * old.weight)
-    B_bad = ObjectiveSkeleton(2, B.vertices, weights)
+    W = B.W.copy()
+    W[B.skel.edge_index[0, 1]] *= 2  # edge (0, 2) lives on B's source facet for axis 1
+    B_bad = ObjectiveSkeleton(2, B.vertices, W)
     with pytest.raises(CompositionError, match="facet edge"):
         compose(B_bad, A, 1)
 
@@ -228,7 +213,7 @@ def test_compose_rejects_dimension_mismatch():
 
 
 def test_interchange_all_units():
-    F = ObjectiveSkeleton(1, ("X", "X"), {Edge(0, 1): unit_arrow("X")})
+    F = ObjectiveSkeleton(1, ("X", "X"), UNIT)
     U = unit_skeleton(F, 2)
     assert interchange_check(U, U, U, U, 1, 2)
 
@@ -259,10 +244,7 @@ def test_interchange_needs_distinct_axes():
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_assemble_from_facets_recovers_skeleton(axis):
     T = random_conservative(3, seed=33)
-    bit = T.skel.axis_bit(axis)
-    connecting = {
-        e.tail: T.arrow(e) for e in T.skel.edges() if e.axis == axis
-    }
+    connecting = T.W[T.skel.edge_arrays[1] == axis]  # ascending tail order
     rebuilt = assemble_from_facets(
         source_facet(T, axis), target_facet(T, axis), axis, connecting
     )
