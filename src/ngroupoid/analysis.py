@@ -63,25 +63,20 @@ def circuit_steps(skel: HypercubeSkeleton, cycle: Sequence[int]) -> list[PathSte
     return walk_steps(skel, list(cycle) + [cycle[0]])
 
 
-def path_weight(T: ObjectiveSkeleton, steps: Sequence[PathStep],
-                start: int | None = None) -> np.ndarray:
+def path_weight(T: ObjectiveSkeleton, steps: Sequence[PathStep]) -> np.ndarray:
     """Total weight of a path: ordered product, later steps on the left.
 
     Reverse steps contribute the inverse matrix.  The empty path has the
     identity weight.
     """
     total = IDENTITY.copy()
-    if not steps:
-        return total
-    current = start
+    current = None
     for step in steps:
         edge = Edge(*step.edge)
         T.skel.check_edge(edge)
         head = T.skel.head(edge)
         begin, end = (head, edge.tail) if step.reverse else (edge.tail, head)
-        if current is None:
-            current = begin
-        if current != begin:
+        if current not in (None, begin):
             raise PathError(
                 f"step over edge {tuple(edge)} starts at {begin}, "
                 f"path is at {current}"
@@ -92,17 +87,16 @@ def path_weight(T: ObjectiveSkeleton, steps: Sequence[PathStep],
     return total
 
 
-def random_circuit(skel: HypercubeSkeleton, rng: np.random.Generator,
-                   start: int = 0, max_steps: int = 200_000) -> list[int]:
-    """Random walk from start until it first returns; vertices, closed."""
-    seq = [start]
-    v = start
-    for _ in range(max_steps):
+def random_circuit(skel: HypercubeSkeleton, rng: np.random.Generator) -> list[int]:
+    """Random walk from vertex 0 until it first returns; vertices, closed."""
+    seq = [0]
+    v = 0
+    for _ in range(200_000):
         v = int(rng.choice(skel.neighbors(v)))
         seq.append(v)
-        if v == start:
+        if v == 0:
             return seq
-    raise RuntimeError("random walk failed to return (raise max_steps)")
+    raise RuntimeError("random walk did not return within 200000 steps")
 
 
 # -- conservativity -----------------------------------------------------------

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import analysis
-from .errors import CompositionError, FormatError, NGroupoidError
+from .errors import CompositionError, NGroupoidError
 from .hypercube import HypercubeSkeleton, count_faces, dimension_cap, two_face_count
-from .matrices import DEFAULT_TOL
+from .matrices import DEFAULT_TOL, check_tolerance
 from .mixture import load_mixture
 from .skeleton import compose, dump_skeleton, load_skeleton
 
@@ -30,6 +30,11 @@ EXIT_INTERNAL = 3
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def tolerance(text: str) -> float:
+    """argparse type of every --tol flag: a finite number > 0."""
+    return check_tolerance(float(text))
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("skeleton_file")
     c.add_argument("--mixture", default=None,
                    help="validate edge arrows against this mixture file")
-    c.add_argument("--tol", type=float, default=None)
+    c.add_argument("--tol", type=tolerance, default=None)
     c.add_argument("--out", default=None, help="write the JSON report here")
     c.set_defaults(func=cmd_check)
 
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", type=tolerance, default=None)
     v.set_defaults(func=cmd_verify_theorem)
 
     co = sub.add_parser("compose",
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("first")
     co.add_argument("second")
     co.add_argument("--axis", type=int, required=True)
-    co.add_argument("--tol", type=float, default=None)
+    co.add_argument("--tol", type=tolerance, default=None)
     co.add_argument("--out", default=None, help="output path (default stdout)")
     co.set_defaults(func=cmd_compose)
     return p
@@ -254,8 +259,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except FormatError as exc:
-        return _fail(str(exc))
     except NGroupoidError as exc:
         return _fail(str(exc))
 

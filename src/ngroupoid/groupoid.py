@@ -63,9 +63,7 @@ class SymmetryGroup:
     def __init__(self, elements: Iterable[object], name: str = "",
                  tol: float = DEFAULT_TOL):
         self.name = name
-        self.elements = np.array(
-            [check_invertible(e, "group element") for e in elements]
-        ).reshape(-1, 3, 3)
+        self.elements = check_invertible(list(elements), lambda i: f"group element {i}")
         self.elements.flags.writeable = False
         self._validate(tol)
 
@@ -133,10 +131,10 @@ class ConstituentGroupoid:
             raise UnknownBasePointError(
                 f"constituent {self.name!r}: implants at undeclared points {bad!r}"
             )
-        self.implants = {
-            p: check_invertible(k, f"implant at {p!r}")
-            for p, k in self.implants.items()
-        }
+        points = list(self.implants)
+        K = check_invertible(list(self.implants.values()),
+                             lambda i: f"implant at {points[i]!r}")
+        self.implants = dict(zip(points, K))
 
     def _check_point(self, p: Label) -> None:
         if p not in self.base:
@@ -160,9 +158,9 @@ class ConstituentGroupoid:
         if kx is None or ky is None:
             return np.empty((0, 3, 3))
         A = (ky @ self.group.elements) @ np.linalg.inv(kx)
-        bad = first_invalid(A, f"constituent {self.name!r}: arrow {X!r} -> {Y!r}")
+        bad = first_invalid(A)
         if bad:
-            raise FormatError(bad[1])
+            raise FormatError(f"constituent {self.name!r}: arrow {X!r} -> {Y!r} {bad[1]}")
         earlier = np.tril(rel_distances(A[:, None], A) <= self.tolerance, -1)
         keep = np.ones(len(A), dtype=bool)
         for i in np.flatnonzero(earlier.any(axis=1)).tolist():
@@ -171,11 +169,9 @@ class ConstituentGroupoid:
         A.flags.writeable = False
         return A
 
-    def contains_arrow(self, X: Label, Y: Label, weight: np.ndarray,
-                       tol: float | None = None) -> bool:
+    def contains_arrow(self, X: Label, Y: Label, weight: np.ndarray) -> bool:
         """Whether ``weight`` lies within tolerance of some arrow X -> Y."""
-        tol = self.tolerance if tol is None else tol
-        return bool(close_to_any(weight, self.arrow_set(X, Y), tol))
+        return bool(close_to_any(weight, self.arrow_set(X, Y), self.tolerance))
 
     def is_transitive(self) -> bool:
         """True iff every ordered pair has a nonempty arrow set.

@@ -7,6 +7,9 @@ Frobenius distances so that tolerances survive rescaling.
 
 from __future__ import annotations
 
+import sys
+from typing import Callable, Sequence
+
 import numpy as np
 
 DET_THRESHOLD = 1e-12
@@ -15,18 +18,7 @@ DEFAULT_TOL = 1e-9
 IDENTITY = np.eye(3)
 
 _SQRT3 = np.sqrt(3.0)
-
-
-def as_matrix(data: object) -> np.ndarray:
-    """Coerce nested lists / arrays to a finite float64 3x3 matrix (copy)."""
-    m = np.array(data, dtype=float)
-    if m.shape == (9,):
-        m = m.reshape(3, 3)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if np.count_nonzero(np.isfinite(m)) != 9:  # cheaper than .all() on the hot path
-        raise ValueError("matrix has non-finite entries")
-    return m
+_ROW_SHAPES = ((9,), (3, 3))
 
 
 def to_row_major(m: np.ndarray) -> list[float]:
@@ -34,13 +26,42 @@ def to_row_major(m: np.ndarray) -> list[float]:
     return [float(x) for x in np.asarray(m, dtype=float).reshape(9)]
 
 
-def check_invertible(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Return the matrix if |det| clears DET_THRESHOLD, else raise."""
-    m = as_matrix(m)
-    det = float(np.linalg.det(m))
-    if abs(det) <= DET_THRESHOLD:
-        raise ValueError(f"{what} is numerically singular (det={det:.3e})")
-    return m
+def _floats(data: object) -> np.ndarray | None:
+    try:
+        return np.array(data, dtype=float)
+    except (ValueError, TypeError):
+        return None
+
+
+def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
+    """Matrices read from input as one finite, invertible float64 (k, 3, 3) stack.
+
+    Each row must be 9 numbers (row-major) or a 3x3 nested list, finite,
+    with |det| > DET_THRESHOLD.  The first bad row in order raises
+    ValueError naming it, ``name(i)``, and the reason.
+    """
+    ms, malformed = _floats(rows), None
+    if ms is None or ms.shape[1:] not in _ROW_SHAPES:
+        # ragged, mixed-shape or non-numeric rows: coerce each on its own;
+        # the rows before the first malformed one are still checked below
+        each = [_floats(row) for row in rows]
+        malformed = next((i for i, m in enumerate(each)
+                          if m is None or m.shape not in _ROW_SHAPES), None)
+        ms = np.array([m.reshape(3, 3) for m in each[:malformed]])
+    ms = ms.reshape(-1, 3, 3)
+    bad = first_invalid(ms)
+    if bad:
+        raise ValueError(f"{name(bad[0])} {bad[1]}")
+    if malformed is not None:
+        raise ValueError(f"{name(malformed)} is not 9 numbers or a 3x3 nested list")
+    return ms
+
+
+def check_tolerance(tol: object) -> float:
+    """A comparison tolerance: a finite number > 0, not a boolean."""
+    if type(tol) not in (int, float) or not 0 < tol <= sys.float_info.max:
+        raise ValueError(f"must be a finite number > 0, got {tol!r}")
+    return float(tol)
 
 
 def rel_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -60,35 +81,41 @@ def identity_deviation(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=float) - IDENTITY) / _SQRT3)
 
 
-def random_invertible(
-    rng: np.random.Generator, min_det: float = 0.1
-) -> np.ndarray:
-    """Uniform[-1,1] entries, resampled until |det| > min_det.
+def random_invertible(rng: np.random.Generator) -> np.ndarray:
+    """Uniform[-1,1] entries, resampled until |det| > 0.1.
 
     The det floor keeps downstream inversions well conditioned.
     """
     while True:
         m = rng.uniform(-1.0, 1.0, size=(3, 3))
-        if abs(np.linalg.det(m)) > min_det:
+        if abs(np.linalg.det(m)) > 0.1:
             return m
 
 
 # -- stacks of (k, 3, 3) matrices, bit-identical to the scalar functions ----
 # np.linalg.norm of one matrix is sqrt(f @ f) over its flattened entries f;
 # np.linalg.norm(x, axis=(1, 2)) sums in another order, a stacked matmul not.
+# Before squaring, a matrix is divided by 2**e, with 2**(e-1) <= its largest
+# |entry| < 2**e, so that no square overflows.  The division is exact: where
+# nothing overflowed, the result equals the unscaled formula bit for bit.
 
-def frobenius(ms: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a stack."""
+def _norms(ms: np.ndarray) -> np.ndarray:
     f = ms.reshape(-1, 9)
     return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(-1))
+
+
+def frobenius(ms: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack, scaled as above."""
+    ms = ms.reshape(-1, 3, 3)
+    e = np.frexp(np.abs(ms).max(axis=(1, 2), initial=0.0))[1]
+    return np.ldexp(_norms(np.ldexp(ms, -e[:, None, None])), e)
 
 
 def rel_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rel_distance of each pair of 3x3 matrices, broadcast over leading axes.
 
-    Each pair is first divided by 2**e, with 2**(e-1) <= its largest |entry|
-    < 2**e, so that no square overflows.  The division is exact: where nothing
-    overflowed, the result equals the unscaled formula bit for bit.
+    Both matrices of a pair are scaled as above, by the power of two of the
+    larger largest |entry|.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape[:-2]
@@ -97,9 +124,9 @@ def rel_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                       np.abs(b).max(axis=(1, 2), initial=0.0))
     e = -np.frexp(peak)[1][:, None, None]
     a, b = np.ldexp(a, e), np.ldexp(b, e)
-    na, nb = frobenius(a), frobenius(b)
+    na, nb = _norms(a), _norms(b)
     scale = np.where(nb > na, nb, na)
-    d = np.divide(frobenius(a - b), scale, out=np.zeros_like(scale), where=scale != 0.0)
+    d = np.divide(_norms(a - b), scale, out=np.zeros_like(scale), where=scale != 0.0)
     return d.reshape(shape)
 
 
@@ -113,8 +140,12 @@ def identity_deviations(ms: np.ndarray) -> np.ndarray:
     return frobenius(ms - IDENTITY) / _SQRT3
 
 
-def first_invalid(ms: np.ndarray, what: str) -> tuple[int, str] | None:
-    """Position and reason of the first non-finite or singular matrix, or None."""
+def first_invalid(ms: np.ndarray) -> tuple[int, str] | None:
+    """Position and reason of the first non-finite or singular matrix, or None.
+
+    The reason reads as a predicate: "has non-finite entries" or "is
+    numerically singular (det=...)".
+    """
     finite = np.isfinite(ms).all(axis=(1, 2))
     with np.errstate(over="ignore"):  # an infinite determinant passes
         det = np.linalg.det(ms if finite.all() else np.where(finite[:, None, None], ms, IDENTITY))
@@ -123,5 +154,5 @@ def first_invalid(ms: np.ndarray, what: str) -> tuple[int, str] | None:
         return None
     k = int(bad[0])
     if not finite[k]:
-        return k, f"{what} has non-finite entries"
-    return k, f"{what} is numerically singular (det={det[k]:.3e})"
+        return k, "has non-finite entries"
+    return k, f"is numerically singular (det={det[k]:.3e})"

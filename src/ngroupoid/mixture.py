@@ -13,8 +13,9 @@ Mixtures are ingested from JSON documents:
       ]
     }
 
-``tolerance`` is optional.  Implant keys must reference declared base
-points; point labels in files are strings.
+``tolerance`` is optional; it must be a finite number > 0.  Point labels
+are strings or integers, and implant keys must reference declared base
+points.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, GroupValidationError, UnknownBasePointError, read_json
 from .groupoid import ConstituentGroupoid, Label, SymmetryGroup
-from .matrices import DEFAULT_TOL, as_matrix
+from .matrices import DEFAULT_TOL, check_tolerance
 
 
 @dataclass
@@ -67,14 +68,16 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
     if not isinstance(doc, dict):
         raise FormatError("mixture document must be an object")
     n = _require(doc, "n", "mixture")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise FormatError(f"mixture: field 'n' must be an integer, got {n!r}")
     points = _require(doc, "base_points", "mixture")
-    if not isinstance(points, list) or not points:
-        raise FormatError("mixture: field 'base_points' must be a nonempty list")
-    tolerance = doc.get("tolerance", DEFAULT_TOL)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise FormatError("mixture: field 'tolerance' must be a positive number")
+    if not isinstance(points, list) or not points or any(type(p) not in (str, int) for p in points):
+        raise FormatError(
+            "mixture: field 'base_points' must be a nonempty list of strings or integers")
+    try:
+        tolerance = check_tolerance(doc.get("tolerance", DEFAULT_TOL))
+    except ValueError as exc:
+        raise FormatError(f"mixture: field 'tolerance' {exc}") from exc
     raw_constituents = _require(doc, "constituents", "mixture")
     if not isinstance(raw_constituents, list):
         raise FormatError("mixture: field 'constituents' must be a list")
@@ -85,38 +88,24 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
         if not isinstance(raw, dict):
             raise FormatError(f"{where}: must be an object")
         name = raw.get("name", f"constituent-{idx + 1}")
+        if not isinstance(name, str):
+            raise FormatError(f"{where}: field 'name' must be a string")
         try:
-            group = SymmetryGroup.from_spec(
-                _require(raw, "symmetry", where), tol=float(tolerance)
-            )
-        except (GroupValidationError, ValueError, TypeError) as exc:
+            group = SymmetryGroup.from_spec(_require(raw, "symmetry", where), tol=tolerance)
+        except (GroupValidationError, ValueError) as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
         implants_raw = _require(raw, "implants", where)
         if not isinstance(implants_raw, dict):
             raise FormatError(f"{where}: field 'implants' must be an object")
         try:
-            implants = {p: as_matrix(k) for p, k in implants_raw.items()}
-            constituents.append(
-                ConstituentGroupoid(
-                    name=name,
-                    base=tuple(points),
-                    implants=implants,
-                    group=group,
-                    tolerance=float(tolerance),
-                )
-            )
-        except (ValueError, TypeError, UnknownBasePointError) as exc:
+            constituents.append(ConstituentGroupoid(
+                name=name, base=tuple(points), implants=implants_raw, group=group,
+                tolerance=tolerance))
+        except (ValueError, UnknownBasePointError) as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
 
-    try:
-        return MixtureSpec(
-            n=n,
-            base_points=tuple(points),
-            constituents=tuple(constituents),
-            tolerance=float(tolerance),
-        )
-    except ValueError as exc:
-        raise FormatError(f"mixture: {exc}") from exc
+    return MixtureSpec(n=n, base_points=tuple(points), constituents=tuple(constituents),
+                       tolerance=tolerance)
 
 
 def load_mixture(path: str) -> MixtureSpec:

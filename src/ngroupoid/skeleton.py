@@ -47,9 +47,9 @@ class ObjectiveSkeleton:
         if W.shape != (skel.num_edges, 3, 3):
             raise ValueError(f"weight array has shape {W.shape}, "
                              f"expected ({skel.num_edges}, 3, 3)")
-        bad = first_invalid(W, "weight")
+        bad = first_invalid(W)
         if bad:
-            raise ValueError(f"edge {tuple(skel.edges()[bad[0]])}: {bad[1]}")
+            raise ValueError(f"edge {tuple(skel.edges()[bad[0]])}: weight {bad[1]}")
         W.flags.writeable = False
         self.skel, self.n, self.vertices, self.W = skel, skel.n, vertices, W
 
@@ -258,28 +258,6 @@ def skeleton_to_dict(T: ObjectiveSkeleton) -> dict:
     }
 
 
-def _weight_rows(rows: list) -> np.ndarray:
-    """Edge-record weights as an (R, 3, 3) array; a bad one raises, named by record."""
-    try:
-        W = np.array(rows, dtype=float)
-    except (ValueError, TypeError):
-        W = None
-    if W is not None and W.shape[1:] in ((9,), (3, 3)):
-        W = W.reshape(-1, 3, 3)
-        bad = first_invalid(W, "arrow weight")
-        if bad:
-            raise FormatError(f"skeleton: edges[{bad[0]}]: {bad[1]}")
-        return W
-    # ragged, mixed or non-numeric rows: check each record on its own
-    W = np.empty((len(rows), 3, 3))
-    for idx, row in enumerate(rows):
-        try:
-            W[idx] = check_invertible(row, "arrow weight")
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"skeleton: edges[{idx}]: {exc}") from exc
-    return W
-
-
 def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if not isinstance(doc, dict):
         raise FormatError("skeleton document must be an object")
@@ -287,7 +265,7 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
         if key not in doc:
             raise FormatError(f"skeleton: missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FormatError(f"skeleton: 'n' must be a positive integer, got {n!r}")
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or len(vertices) != 2 ** n:
@@ -303,7 +281,14 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
         raise FormatError(f"skeleton: {exc}") from exc
     index = skel.edge_index.tolist()
     record = [-1] * skel.num_edges  # edge position -> record index
-    rows: list = []
+    rows: list = []  # rows[idx] is the weight of edges[idx]
+
+    def weights() -> np.ndarray:
+        try:
+            return check_invertible(rows, lambda i: f"edges[{i}]: weight")
+        except ValueError as exc:
+            raise FormatError(f"skeleton: {exc}") from exc
+
     try:
         for idx, rec in enumerate(edges):
             where = f"edges[{idx}]"
@@ -323,9 +308,9 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
             record[k] = idx
             rows.append(rec["weight"])
     except FormatError:
-        _weight_rows(rows)  # a bad weight in an earlier record is reported first
+        weights()  # a bad weight in an earlier record is reported first
         raise
-    W = _weight_rows(rows)
+    W = weights()
     if len(rows) != skel.num_edges:
         missing = [e for e, r in zip(skel.edges(), record) if r < 0]
         raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -250,7 +251,7 @@ def test_nonfinite_weight_is_an_input_error(run_cli, tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("bad", NONFINITE)
 @pytest.mark.parametrize("where", ["implant", "symmetry"])
-def test_nonfinite_mixture_matrix_is_an_input_error(run_cli, tmp_path, data_dir,
+def test_nonfinite_mixture_matrix_is_an_input_error(run_cli, tmp_path, data_dir, capsys,
                                                     bad, where):
     doc = json.loads((data_dir / "mixture_identical.json").read_text())
     matrix = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
@@ -261,7 +262,10 @@ def test_nonfinite_mixture_matrix_is_an_input_error(run_cli, tmp_path, data_dir,
         doc["constituents"][1]["symmetry"] = [matrix]
     path = tmp_path / "mix.json"
     path.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run_cli("uniformity", path) == (2, "")
+    named = "implant at 'Y'" if where == "implant" else "group element 0"
+    assert f"constituent[1] (beta): {named} has non-finite entries" in capsys.readouterr().err
 
 
 def test_near_singular_arrow_is_an_input_error(run_cli, tmp_path, data_dir, capsys):
@@ -282,13 +286,75 @@ def test_near_singular_arrow_is_an_input_error(run_cli, tmp_path, data_dir, caps
 
 
 def test_huge_finite_weights_still_agree(run_cli, tmp_path):
-    # squares of these entries overflow; the skeleton is still conservative
-    doc = skeleton_to_dict(analysis.random_conservative(2, seed=0))
-    for rec in doc["edges"]:
-        if (rec["tail"], rec["axis"]) in ((0, 1), (0, 2)):
-            rec["weight"] = [1e200 * w for w in rec["weight"]]
-    path = tmp_path / "huge.json"
+    # squares of these entries overflow; scaling edges (0,1) and (0,2) keeps
+    # the skeleton conservative, scaling (0,1) alone breaks its one face
+    for scaled, code, verdict in [(((0, 1), (0, 2)), 0, "conservative"),
+                                  (((0, 1),), 1, "not conservative")]:
+        doc = skeleton_to_dict(analysis.random_conservative(2, seed=0))
+        for rec in doc["edges"]:
+            if (rec["tail"], rec["axis"]) in scaled:
+                rec["weight"] = [1e200 * w for w in rec["weight"]]
+        path, report = tmp_path / "huge.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        got, out = run_cli("check", path, "--out", report)
+        assert got == code
+        assert f"checkers agree: {verdict}" in out
+        shown = [float(ln.rsplit("=", 1)[1]) for ln in out.splitlines()
+                 if ln.startswith("witness face ")]
+        assert len(shown) == code and all(math.isfinite(d) for d in shown)
+        rep = json.loads(report.read_text())
+        assert math.isfinite(rep["max_deviation"])
+        assert all(math.isfinite(w["deviation"]) for w in rep["witnesses"])
+
+
+BAD_TOL = ["nan", "inf", "-1", "0", "1e-400", "x"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOL)
+def test_bad_tol_flag_is_an_input_error(run_cli, tmp_path, capsys, tol):
+    A, B = analysis.random_composable_chain(2, 1, 2, seed=3)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_skeleton(A, str(a))
+    save_skeleton(B, str(b))
+    for argv in [("check", a), ("compose", a, b, "--axis", 1),
+                 ("verify-theorem", "--n", 3, "--trials", 3)]:
+        capsys.readouterr()
+        assert run_cli(*argv, "--tol", tol) == (2, "")
+        assert f"argument --tol: invalid tolerance value: '{tol}'" in capsys.readouterr().err
+
+
+# each document is mixture_identical.json with one header field replaced; the
+# text is spliced in as written, so 1e400 reaches the parser as a literal
+BAD_HEADER = [
+    ('"tolerance"', "1e400"),
+    ('"tolerance"', "NaN"),
+    ('"tolerance"', "true"),
+    ('"tolerance"', "0"),
+    ('"tolerance"', '"1e-9"'),
+    ('"n"', "true"),
+    ('"base_points"', '[["X"], ["Y"]]'),
+]
+
+
+@pytest.mark.parametrize("field, text", BAD_HEADER)
+def test_bad_mixture_header_is_an_input_error(run_cli, tmp_path, data_dir, capsys,
+                                              field, text):
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    key = field.strip('"')
+    doc[key] = "@"
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mixture: field '{key}' ") and err.count("\n") == 1
+
+
+def test_constituent_name_must_be_a_string(run_cli, tmp_path, data_dir, capsys):
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    doc["constituents"][0]["name"] = ["alpha"]
+    path = tmp_path / "mix.json"
     path.write_text(json.dumps(doc))
-    code, out = run_cli("check", path)
-    assert code == 0
-    assert "checkers agree: conservative" in out
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    assert capsys.readouterr().err == "error: constituent[0]: field 'name' must be a string\n"

@@ -285,10 +285,28 @@ def test_to_dict_layout():
         lambda d: d["vertices"].pop(),
         lambda d: d.update(n="two"),
         lambda d: d["edges"][0].update(weight=[0.0] * 9),
+        # the cases below return the record their error must name
+        lambda d: d["edges"][1].update(weight=[1.0] * 8) or "edges[1]",
+        lambda d: d["edges"][2].update(weight=["a"] * 9) or "edges[2]",
+        lambda d: (d["edges"][1].update(weight=[0.0] * 9)  # singular before short
+                   or d["edges"][3].update(weight=[1.0] * 8) or "edges[1]"),
+        lambda d: (d["edges"][1].update(weight=[0.0] * 9)  # before a duplicate edge
+                   or d["edges"].append(dict(d["edges"][0])) or "edges[1]"),
+        lambda d: d.update(n=True, vertices=d["vertices"][:2], edges=d["edges"][:1]),
     ],
 )
 def test_from_dict_rejects_malformed(mutate):
     doc = skeleton_to_dict(random_conservative(2, seed=3))
-    mutate(doc)
-    with pytest.raises(FormatError):
+    named = mutate(doc)
+    with pytest.raises(FormatError) as exc:
         skeleton_from_dict(json.loads(json.dumps(doc)))
+    if isinstance(named, str):
+        assert str(exc.value).startswith(f"skeleton: {named}: weight ")
+
+
+def test_from_dict_mixed_flat_and_nested_weights():
+    doc = skeleton_to_dict(random_conservative(2, seed=3))
+    flat = skeleton_from_dict(doc)
+    for rec in doc["edges"][1::2]:
+        rec["weight"] = np.reshape(rec["weight"], (3, 3)).tolist()
+    assert skeleton_from_dict(doc) == flat
