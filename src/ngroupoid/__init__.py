@@ -10,7 +10,6 @@ uniformity via the core groupoid of arrows common to every constituent.
 from .analysis import (
     ConservativityReport,
     CoreArrowSet,
-    PathStep,
     UniformityReport,
     circuit_steps,
     conservative_oracle,
@@ -25,7 +24,6 @@ from .analysis import (
     random_interchange_quadruple,
     skeleton_from_potential,
     theorem_sweep,
-    walk_steps,
 )
 from .errors import (
     CompositionError,

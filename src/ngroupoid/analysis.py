@@ -35,55 +35,25 @@ PERTURBATION = np.diag([2.0, 1.0, 1.0])
 
 # -- paths and circuits -------------------------------------------------------
 
-class PathStep(NamedTuple):
-    edge: Edge
-    reverse: bool = False
+def circuit_steps(skel: HypercubeSkeleton, cycle: Sequence[int]) -> list[int]:
+    """Closed walk around a cycle given without its first vertex repeated."""
+    return [*cycle, cycle[0]]
 
 
-def walk_steps(skel: HypercubeSkeleton, vertices: Sequence[int]) -> list[PathStep]:
-    """Steps visiting the given vertices in order.
+def path_weight(T: ObjectiveSkeleton, walk: Sequence[int]) -> np.ndarray:
+    """Total weight of a walk given by its vertices: ordered product, later steps on the left.
 
-    Consecutive entries must be adjacent; each step is the connecting edge,
-    flagged reverse when walked against its orientation.
-    """
-    steps = []
-    for a, b in zip(vertices, vertices[1:]):
-        axis = skel.adjacency_class(a, b)
-        if axis is None:
-            raise PathError(f"vertices {a} and {b} are not adjacent")
-        if b & skel.axis_bit(axis):
-            steps.append(PathStep(Edge(a, axis)))
-        else:
-            steps.append(PathStep(Edge(b, axis), reverse=True))
-    return steps
-
-
-def circuit_steps(skel: HypercubeSkeleton, cycle: Sequence[int]) -> list[PathStep]:
-    """Steps around a closed cycle given without its first vertex repeated."""
-    return walk_steps(skel, list(cycle) + [cycle[0]])
-
-
-def path_weight(T: ObjectiveSkeleton, steps: Sequence[PathStep]) -> np.ndarray:
-    """Total weight of a path: ordered product, later steps on the left.
-
-    Reverse steps contribute the inverse matrix.  The empty path has the
-    identity weight.
+    Consecutive vertices must be adjacent.  A step from the larger to the
+    smaller vertex contributes the inverse weight.  A walk of fewer than two
+    vertices has the identity weight.
     """
     total = IDENTITY.copy()
-    current = None
-    for step in steps:
-        edge = Edge(*step.edge)
-        T.skel.check_edge(edge)
-        head = T.skel.head(edge)
-        begin, end = (head, edge.tail) if step.reverse else (edge.tail, head)
-        if current not in (None, begin):
-            raise PathError(
-                f"step over edge {tuple(edge)} starts at {begin}, "
-                f"path is at {current}"
-            )
-        w = T.weight(edge)
-        total = (np.linalg.inv(w) if step.reverse else w) @ total
-        current = end
+    for a, b in zip(walk, walk[1:]):
+        axis = T.skel.adjacency_class(a, b)
+        if axis is None:
+            raise PathError(f"vertices {a} and {b} are not adjacent")
+        w = T.weight(Edge(min(a, b), axis))
+        total = (w if b > a else np.linalg.inv(w)) @ total
     return total
 
 

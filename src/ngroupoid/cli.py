@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis
 from .errors import CompositionError, NGroupoidError
-from .hypercube import HypercubeSkeleton, count_faces, dimension_cap, two_face_count
+from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces, two_face_count
 from .matrices import DEFAULT_TOL, check_tolerance
 from .mixture import load_mixture
 from .skeleton import compose, dump_skeleton, load_skeleton
@@ -51,9 +51,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_skeleton(args) -> int:
-    n, cap = args.n, dimension_cap()
-    if not 1 <= n <= cap:
-        return _fail(f"--n must lie in 1..{cap}, got {n}")
+    n = args.n
+    if not 1 <= n <= MAX_DIMENSION:
+        return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {n}")
     if args.h is not None:
         if not 0 <= args.h < n:
             return _fail(f"--h must lie in 0..{n - 1}, got {args.h}")
@@ -143,9 +143,8 @@ def cmd_uniformity(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cap = dimension_cap()
-    if not 1 <= args.n <= cap:
-        return _fail(f"--n must lie in 1..{cap}, got {args.n}")
+    if not 1 <= args.n <= MAX_DIMENSION:
+        return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {args.n}")
     rng = np.random.default_rng(args.seed)
     T = analysis.random_conservative(args.n, rng)
     if args.mode == "perturbed":
@@ -155,9 +154,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    cap = dimension_cap()
-    if not 2 <= args.n <= cap:
-        return _fail(f"--n must lie in 2..{cap}, got {args.n}")
+    if not 2 <= args.n <= MAX_DIMENSION:
+        return _fail(f"--n must lie in 2..{MAX_DIMENSION}, got {args.n}")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
     tol = DEFAULT_TOL if args.tol is None else args.tol
@@ -188,6 +186,8 @@ def cmd_compose(args) -> int:
     except CompositionError as exc:
         print(f"not composable: {exc}")
         return EXIT_NEGATIVE
+    except ValueError as exc:  # a glued weight overflowed or is singular
+        return _fail(f"composed skeleton: {exc}")
     _emit(dump_skeleton(result), args.out)
     return EXIT_OK
 

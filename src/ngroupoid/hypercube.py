@@ -12,32 +12,13 @@ Everything here is label combinatorics; there is no geometric embedding.
 from __future__ import annotations
 
 import math
-import os
 from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_MAX_DIMENSION = 12
-MAX_DIMENSION_ENV = "NGROUPOID_MAX_N"
-
-
-def dimension_cap() -> int:
-    """Largest accepted dimension (2**n enumeration bound).
-
-    Defaults to DEFAULT_MAX_DIMENSION; the NGROUPOID_MAX_N environment
-    variable overrides it.
-    """
-    raw = os.environ.get(MAX_DIMENSION_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIMENSION
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{MAX_DIMENSION_ENV} must be an integer, got {raw!r}"
-        ) from None
+MAX_DIMENSION = 12  # largest accepted n: a 12-cube already has 24576 edges
 
 
 class Edge(NamedTuple):
@@ -150,11 +131,8 @@ class HypercubeSkeleton:
     """
 
     def __init__(self, n: int):
-        cap = dimension_cap()
-        if n < 0:
-            raise ValueError(f"dimension must be >= 0, got {n}")
-        if n > cap:
-            raise ValueError(f"dimension {n} exceeds the cap {cap}")
+        if not 0 <= n <= MAX_DIMENSION:
+            raise ValueError(f"dimension must lie in 0..{MAX_DIMENSION}, got {n}")
         self.n = n
         self.num_vertices = 1 << n
         self.num_edges = n * self.num_vertices // 2

@@ -8,6 +8,7 @@ Frobenius distances so that tolerances survive rescaling.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,21 @@ def to_row_major(m: np.ndarray) -> list[float]:
     return [float(x) for x in np.asarray(m, dtype=float).reshape(9)]
 
 
+def _numeric(data: object) -> bool:
+    """Whether data is a number, a numeric array, or lists of them; not a boolean or string."""
+    if isinstance(data, np.ndarray):
+        return data.dtype.kind in "iuf"
+    if isinstance(data, (list, tuple)):
+        types = set(map(type, data))
+        if types <= {list}:  # rows of a file: all their entries in one pass
+            types = set(map(type, chain.from_iterable(data)))
+        return types <= {int, float} or all(map(_numeric, data))
+    return isinstance(data, (int, float, np.integer, np.floating)) and not isinstance(data, bool)
+
+
 def _floats(data: object) -> np.ndarray | None:
+    if not _numeric(data):
+        return None
     try:
         return np.array(data, dtype=float)
     except (ValueError, TypeError):
@@ -36,9 +51,9 @@ def _floats(data: object) -> np.ndarray | None:
 def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     """Matrices read from input as one finite, invertible float64 (k, 3, 3) stack.
 
-    Each row must be 9 numbers (row-major) or a 3x3 nested list, finite,
-    with |det| > DET_THRESHOLD.  The first bad row in order raises
-    ValueError naming it, ``name(i)``, and the reason.
+    Each row must be 9 numbers (not booleans or strings), row-major, or a
+    3x3 nested list, finite, with |det| > DET_THRESHOLD.  The first bad row
+    in order raises ValueError naming it, ``name(i)``, and the reason.
     """
     ms, malformed = _floats(rows), None
     if ms is None or ms.shape[1:] not in _ROW_SHAPES:
@@ -77,8 +92,8 @@ def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bo
 
 
 def identity_deviation(m: np.ndarray) -> float:
-    """How far a matrix sits from the identity: ||m - I||_F / ||I||_F."""
-    return float(np.linalg.norm(np.asarray(m, dtype=float) - IDENTITY) / _SQRT3)
+    """identity_deviations of one matrix."""
+    return float(identity_deviations(m)[0])
 
 
 def random_invertible(rng: np.random.Generator) -> np.ndarray:
@@ -136,7 +151,7 @@ def close_to_any(ms: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def identity_deviations(ms: np.ndarray) -> np.ndarray:
-    """identity_deviation of every matrix in a stack."""
+    """How far each matrix of a stack sits from the identity: ||m - I||_F / ||I||_F."""
     return frobenius(ms - IDENTITY) / _SQRT3
 
 

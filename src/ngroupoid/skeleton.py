@@ -84,15 +84,8 @@ class ObjectiveSkeleton:
         for p in self.vertices:
             if p not in mix.base_points:
                 raise ValueError(f"vertex label {p!r} not in the mixture base")
-        # one arrow set per (axis, tail label, head label), all its edges at once
-        tails, axes = self.skel.edge_arrays
-        heads = tails | (1 << (self.n - axes))
-        V = self.vertices
-        groups: dict[tuple, list[int]] = {}
-        for k, (a, t, h) in enumerate(zip(axes.tolist(), tails.tolist(), heads.tolist())):
-            groups.setdefault((a, V[t], V[h]), []).append(k)
-        member = np.empty(len(tails), dtype=bool)
-        for (a, X, Y), rows in groups.items():
+        member = np.empty(self.skel.num_edges, dtype=bool)
+        for (a, X, Y), rows in _arrow_groups(self.skel, self.vertices).items():
             arrows = mix.constituent(a).arrow_set(X, Y)
             member[rows] = close_to_any(self.W[rows], arrows, mix.tolerance)
         bad = np.flatnonzero(~member)
@@ -107,22 +100,34 @@ class ObjectiveSkeleton:
         return f"ObjectiveSkeleton(n={self.n}, vertices={self.vertices!r})"
 
 
+def _arrow_groups(skel: HypercubeSkeleton, vertices: tuple) -> dict[tuple, list[int]]:
+    """Edge rows by (axis, tail label, head label), the key of their arrow set.
+
+    Groups come in the order of their first edge.
+    """
+    tails, axes = skel.edge_arrays
+    heads = tails | (1 << (skel.n - axes))
+    groups: dict[tuple, list[int]] = {}
+    for k, (a, t, h) in enumerate(zip(axes.tolist(), tails.tolist(), heads.tolist())):
+        groups.setdefault((a, vertices[t], vertices[h]), []).append(k)
+    return groups
+
+
 def build(mix: MixtureSpec, vertices: Iterable[Label]) -> ObjectiveSkeleton:
     """Construct the objective skeleton over a vertex tuple of base points.
 
     Each edge carries the first arrow of its arrow set, the one from the
-    first symmetry-group element.  Raises ConstructionHalted as soon as some
-    edge has an empty arrow set: no skeleton exists over this tuple.
+    first symmetry-group element.  Raises ConstructionHalted for the first
+    edge with an empty arrow set: no skeleton exists over this tuple.
     """
     vertices = tuple(vertices)
     skel = HypercubeSkeleton(mix.n)
     W = np.empty((skel.num_edges, 3, 3))
-    for k, e in enumerate(skel.edges()):
-        X, Y = vertices[e.tail], vertices[skel.head(e)]
-        arrows = mix.constituent(e.axis).arrow_set(X, Y)
+    for (a, X, Y), rows in _arrow_groups(skel, vertices).items():
+        arrows = mix.constituent(a).arrow_set(X, Y)
         if not len(arrows):
-            raise ConstructionHalted(e, e.axis, X, Y)
-        W[k] = arrows[0]
+            raise ConstructionHalted(skel.edges()[rows[0]], a, X, Y)
+        W[rows] = arrows[0]
     return ObjectiveSkeleton(mix.n, vertices, W)
 
 
@@ -203,11 +208,13 @@ def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
 
     Tp is traversed first: the result keeps Tp's source facet and T's
     target facet verbatim, and each class-``axis`` edge carries
-    weight(T-edge) @ weight(Tp-edge) over the facet correspondence.
+    weight(T-edge) @ weight(Tp-edge) over the facet correspondence.  A glued
+    weight that overflows or is singular raises ValueError naming its edge.
     """
     _check_glue(T, Tp, axis, tol)
-    return assemble_from_facets(source_facet(Tp, axis), target_facet(T, axis), axis,
-                                _axis_weights(T, axis) @ _axis_weights(Tp, axis))
+    with np.errstate(over="ignore"):  # an overflowing product fails the weight check
+        weights = _axis_weights(T, axis) @ _axis_weights(Tp, axis)
+    return assemble_from_facets(source_facet(Tp, axis), target_facet(T, axis), axis, weights)
 
 
 def unit_skeleton(F: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:

@@ -8,8 +8,10 @@ must reproduce their results bit for bit.
 import numpy as np
 
 from ngroupoid.analysis import FaceWitness
+from ngroupoid.errors import ConstructionHalted
 from ngroupoid.hypercube import Edge, HypercubeSkeleton, insert_axis
 from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, identity_deviation
+from ngroupoid.skeleton import ObjectiveSkeleton
 
 
 def rel_distance(a, b):
@@ -172,3 +174,38 @@ def validate_error(T, mix):
         if not contains_arrow(c, X, Y, T.weight(e), mix.tolerance):
             return f"edge {tuple(e)}: weight is not an arrow of constituent {c.name!r}"
     return None
+
+
+# -- walks, construction and deviations -------------------------------------------
+
+def path_weight(T, walk):
+    """Weight of a vertex walk: the product of its step matrices, later steps
+    on the left, each backward step inverted."""
+    steps = []
+    for a, b in zip(walk, walk[1:]):
+        tail, head = min(a, b), max(a, b)
+        w = T.weight(Edge(tail, T.n - (head - tail).bit_length() + 1))
+        steps.append(w if b == head else np.linalg.inv(w))
+    total = IDENTITY.copy()
+    for m in steps:
+        total = m @ total
+    return total
+
+
+def build(mix, vertices):
+    """build one edge at a time, with one arrow_set call per edge."""
+    vertices = tuple(vertices)
+    skel = HypercubeSkeleton(mix.n)
+    W = np.empty((skel.num_edges, 3, 3))
+    for k, e in enumerate(skel.edges()):
+        X, Y = vertices[e.tail], vertices[skel.head(e)]
+        arrows = mix.constituent(e.axis).arrow_set(X, Y)
+        if not len(arrows):
+            raise ConstructionHalted(e, e.axis, X, Y)
+        W[k] = arrows[0]
+    return ObjectiveSkeleton(mix.n, vertices, W)
+
+
+def identity_deviation_unscaled(m):
+    """||m - I||_F / sqrt(3) through np.linalg.norm, without rescaling."""
+    return float(np.linalg.norm(np.asarray(m, dtype=float) - IDENTITY) / np.sqrt(3.0))

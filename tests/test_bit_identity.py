@@ -15,20 +15,28 @@ import pytest
 
 import scalar_reference as ref
 from ngroupoid.analysis import (
+    circuit_steps,
     conservative_oracle,
     core_arrows,
     face2_commutes,
     is_conservative,
+    path_weight,
     perturb_edge,
     random_composable_chain,
     random_conservative,
     vertex_potential,
 )
-from ngroupoid.errors import CompositionError, GroupValidationError
+from ngroupoid.errors import CompositionError, ConstructionHalted, GroupValidationError
 from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.hypercube import HypercubeSkeleton
 from ngroupoid.matrices import DEFAULT_TOL as TOL
-from ngroupoid.matrices import random_invertible, rel_distance, rel_distances
+from ngroupoid.matrices import (
+    identity_deviation,
+    identity_deviations,
+    random_invertible,
+    rel_distance,
+    rel_distances,
+)
 from ngroupoid.mixture import MixtureSpec, load_mixture
 from ngroupoid.skeleton import ObjectiveSkeleton, build, compose
 
@@ -293,3 +301,58 @@ def test_validate_against_matches_reference():
         with pytest.raises(ValueError) as exc:
             bad.validate_against(mix)
         assert str(exc.value) == want
+
+
+# -- walks, construction and deviations ---------------------------------------------
+
+def random_walk(skel, rng):
+    """A walk of 0..30 random steps from a random vertex."""
+    walk = [int(rng.integers(skel.num_vertices))]
+    for _ in range(rng.integers(31)):
+        walk.append(walk[-1] ^ skel.axis_bit(int(rng.integers(1, skel.n + 1))))
+    return walk
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_path_weight_matches_reference(n):
+    rng = np.random.default_rng(300 + n)
+    for T in population(n):
+        walks = [random_walk(T.skel, rng) for _ in range(50)]
+        if n == 3:
+            walks += [circuit_steps(T.skel, c) for c in T.skel.simple_cycles()]
+        for walk in walks:
+            assert np.array_equal(path_weight(T, walk), ref.path_weight(T, walk))
+
+
+def build_outcome(build_fn, mix, vertices):
+    try:
+        T = build_fn(mix, vertices)
+    except ConstructionHalted as exc:
+        return str(exc), exc.edge, exc.axis, exc.source, exc.target
+    return T.vertices, T.W.tobytes()
+
+
+@pytest.mark.parametrize("mix", fixture_mixtures() + [random_mixture(s) for s in range(3)],
+                         ids=lambda m: "-".join(map(str, m.base_points)))
+def test_build_matches_reference(mix):
+    # every other tuple uses only points with an implant in every constituent
+    full = [p for p in mix.base_points if all(p in c.implants for c in mix.constituents)]
+    rng = np.random.default_rng(len(mix.base_points))
+    halted = set()
+    for k in range(40):
+        pool = full if k % 2 else mix.base_points
+        vertices = [pool[i] for i in rng.integers(len(pool), size=2 ** mix.n)]
+        want = build_outcome(ref.build, mix, vertices)
+        assert build_outcome(build, mix, vertices) == want
+        halted.add(isinstance(want[0], str))
+    assert halted == ({False} if len(full) == len(mix.base_points) else {True, False})
+
+
+def test_identity_deviation_matches_unscaled_formula():
+    rng = np.random.default_rng(9)
+    ms = rng.choice((-1.0, 1.0), (20000, 3, 3)) * 10.0 ** rng.uniform(-12, 12, (20000, 3, 3))
+    want = [ref.identity_deviation_unscaled(m) for m in ms]
+    assert identity_deviations(ms).tolist() == want
+    assert [identity_deviation(m) for m in ms] == want
+    huge = identity_deviation(1e200 * np.eye(3))  # squares overflow; no warning either
+    assert huge == identity_deviations(1e200 * np.eye(3))[0] and np.isfinite(huge)

@@ -1,12 +1,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ngroupoid import analysis
-from ngroupoid.hypercube import dimension_cap
+from ngroupoid.hypercube import MAX_DIMENSION
 from ngroupoid.mixture import load_mixture
-from ngroupoid.skeleton import build, compose, load_skeleton, save_skeleton, skeleton_to_dict
+from ngroupoid.skeleton import (
+    ObjectiveSkeleton,
+    build,
+    compose,
+    load_skeleton,
+    save_skeleton,
+    skeleton_to_dict,
+)
 
 
 def test_skeleton_summary_n3(run_cli):
@@ -38,16 +46,9 @@ def test_skeleton_edge_listing(run_cli):
 
 def test_skeleton_invalid_n(run_cli):
     assert run_cli("skeleton", "--n", 0)[0] == 2
+    assert run_cli("skeleton", "--n", 13, "--h", 1)[0] == 2
     assert run_cli("skeleton", "--n", 99)[0] == 2
     assert run_cli("skeleton", "--n", 3, "--h", 3)[0] == 2
-
-
-def test_dimension_cap_env_override(run_cli, monkeypatch):
-    assert run_cli("skeleton", "--n", 13, "--h", 1)[0] == 2
-    monkeypatch.setenv("NGROUPOID_MAX_N", "13")
-    code, out = run_cli("skeleton", "--n", 13, "--h", 1)
-    assert code == 0
-    assert out.strip() == str(13 * 2 ** 12)
 
 
 def test_unknown_command_and_missing_args(run_cli):
@@ -192,7 +193,7 @@ def test_verify_theorem(run_cli):
 
 def test_verify_theorem_argument_errors(run_cli):
     assert run_cli("verify-theorem", "--n", 1, "--trials", 5)[0] == 2
-    assert run_cli("verify-theorem", "--n", dimension_cap() + 1, "--trials", 5)[0] == 2
+    assert run_cli("verify-theorem", "--n", MAX_DIMENSION + 1, "--trials", 5)[0] == 2
     assert run_cli("verify-theorem", "--n", 3, "--trials", 0)[0] == 2
 
 
@@ -229,6 +230,27 @@ def test_compose_argument_errors(run_cli, tmp_path):
     save_skeleton(A, str(a))
     assert run_cli("compose", a, a, "--axis", 5)[0] == 2
     assert run_cli("compose", a, tmp_path / "missing.json", "--axis", 1)[0] == 2
+
+
+@pytest.mark.parametrize("scale, reason", [
+    (1e200 * np.eye(3), "has non-finite entries"),             # the product overflows
+    (np.diag([1e-7, 1.0, 1.0]), "is numerically singular"),    # det of the product ~1e-14
+])
+def test_glued_weight_must_be_finite_and_invertible(run_cli, tmp_path, capsys, scale, reason):
+    # both files load and their facets match; only the glued axis-1 weights fail
+    a, b, out_path = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ab.json"
+    for T, path in zip(analysis.random_composable_chain(2, 1, 2, seed=3), (a, b)):
+        W = T.W.copy()
+        axis1 = T.skel.edge_arrays[1] == 1
+        W[axis1] = W[axis1] @ scale
+        save_skeleton(ObjectiveSkeleton(2, T.vertices, W), str(path))
+    capsys.readouterr()
+    assert run_cli("compose", a, b, "--axis", 1) == (2, "")
+    assert run_cli("compose", a, b, "--axis", 1, "--out", out_path) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith("error: composed skeleton: edge (0, 1): weight " + reason)
+    assert not out_path.exists()
 
 
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
@@ -323,8 +345,9 @@ def test_bad_tol_flag_is_an_input_error(run_cli, tmp_path, capsys, tol):
         assert f"argument --tol: invalid tolerance value: '{tol}'" in capsys.readouterr().err
 
 
-# each document is mixture_identical.json with one header field replaced; the
-# text is spliced in as written, so 1e400 reaches the parser as a literal
+# each document is mixture_identical.json with one header field, or one matrix
+# of constituent beta, replaced; the text is spliced in as written, so 1e400
+# reaches the parser as a literal
 BAD_HEADER = [
     ('"tolerance"', "1e400"),
     ('"tolerance"', "NaN"),
@@ -333,6 +356,9 @@ BAD_HEADER = [
     ('"tolerance"', '"1e-9"'),
     ('"n"', "true"),
     ('"base_points"', '[["X"], ["Y"]]'),
+    ("implant at 'Y'", '["1", 1, 0, 0, 1, 0, 0, 0, 1]'),
+    ("implant at 'Y'", "[true, true, false, false, true, false, false, false, true]"),
+    ("group element 0", '[[1, 0, 0, 0, 1, 0, 0, 0, "1"]]'),
 ]
 
 
@@ -341,13 +367,22 @@ def test_bad_mixture_header_is_an_input_error(run_cli, tmp_path, data_dir, capsy
                                               field, text):
     doc = json.loads((data_dir / "mixture_identical.json").read_text())
     key = field.strip('"')
-    doc[key] = "@"
+    if key == field:  # a matrix of constituent beta, named by its record
+        beta = doc["constituents"][1]
+        if field.startswith("implant"):
+            beta["implants"]["Y"] = "@"
+        else:
+            beta["symmetry"] = "@"
+        named = f"constituent[1] (beta): {field} "
+    else:
+        doc[key] = "@"
+        named = f"mixture: field '{key}' "
     path = tmp_path / "mix.json"
     path.write_text(json.dumps(doc).replace('"@"', text))
     capsys.readouterr()
     assert run_cli("uniformity", path) == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith(f"error: mixture: field '{key}' ") and err.count("\n") == 1
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
 
 def test_constituent_name_must_be_a_string(run_cli, tmp_path, data_dir, capsys):

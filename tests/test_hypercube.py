@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ngroupoid.hypercube import (
+    MAX_DIMENSION,
     Edge,
     HypercubeSkeleton,
     axis_bit,
     count_faces,
-    dimension_cap,
     insert_axis,
     strip_axis,
     two_face_count,
@@ -216,13 +216,7 @@ def test_strip_insert_roundtrip(n, data):
     assert insert_axis(n, w, axis, bit) == v
 
 
-def test_dimension_cap_default_and_override(monkeypatch):
-    monkeypatch.delenv("NGROUPOID_MAX_N", raising=False)
-    assert dimension_cap() == 12
+def test_dimension_cap_default_and_override():
+    assert MAX_DIMENSION == 12
     with pytest.raises(ValueError):
         HypercubeSkeleton(13)
-    monkeypatch.setenv("NGROUPOID_MAX_N", "14")
-    assert HypercubeSkeleton(13).num_vertices == 2 ** 13
-    monkeypatch.setenv("NGROUPOID_MAX_N", "not-a-number")
-    with pytest.raises(ValueError):
-        dimension_cap()

@@ -293,6 +293,9 @@ def test_to_dict_layout():
         lambda d: (d["edges"][1].update(weight=[0.0] * 9)  # before a duplicate edge
                    or d["edges"].append(dict(d["edges"][0])) or "edges[1]"),
         lambda d: d.update(n=True, vertices=d["vertices"][:2], edges=d["edges"][:1]),
+        lambda d: d["edges"][0]["weight"].__setitem__(0, "-0.03") or "edges[0]",
+        lambda d: d["edges"][1].update(weight=[True, False, False, False, True,
+                                               False, False, False, True]) or "edges[1]",
     ],
 )
 def test_from_dict_rejects_malformed(mutate):
