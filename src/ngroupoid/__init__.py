@@ -14,7 +14,6 @@ from .analysis import (
     circuit_steps,
     conservative_oracle,
     core_arrows,
-    face2_commutes,
     is_conservative,
     is_uniform,
     path_weight,
@@ -35,7 +34,7 @@ from .errors import (
     UnknownBasePointError,
 )
 from .groupoid import ConstituentGroupoid, SymmetryGroup
-from .hypercube import Edge, Face, HypercubeSkeleton, Square, count_faces, two_face_count
+from .hypercube import Edge, Face, HypercubeSkeleton, count_faces
 from .matrices import DEFAULT_TOL, DET_THRESHOLD, identity_deviation, rel_distance
 from .mixture import MixtureSpec, load_mixture, mixture_from_dict
 from .skeleton import (

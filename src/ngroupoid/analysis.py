@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import PathError, UnknownBasePointError
 from .groupoid import Label
-from .hypercube import Edge, HypercubeSkeleton, Square
+from .hypercube import Edge, HypercubeSkeleton
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
+    check_tolerance,
     close_to_any,
     identity_deviations,
-    matrices_close,
     random_invertible,
     rel_distances,
     to_row_major,
@@ -110,26 +110,10 @@ def _square_paths(T: ObjectiveSkeleton, corners: np.ndarray, lo: int,
     return left, right
 
 
-def face2_commutes(T: ObjectiveSkeleton, face: Square,
-                   tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray]:
-    """Whether the two edge paths around a square match, plus the holonomy.
-
-    With corner c and free axes I < J the comparison is
-
-        w(J-edge at c+I) @ w(I-edge at c)  vs  w(I-edge at c+J) @ w(J-edge at c)
-
-    and the holonomy is the left side times the inverse of the right.
-    """
-    if not isinstance(face, Square):
-        face = T.skel.square(face)
-    left, right = _square_paths(T, np.array([face.corner]), *face.axes)
-    holonomy = left[0] @ np.linalg.inv(right[0])
-    return matrices_close(left[0], right[0], tol), holonomy
-
-
 def is_conservative(T: ObjectiveSkeleton,
                     tol: float = DEFAULT_TOL) -> ConservativityReport:
     """Face check: commutativity of all 2-faces, with failing witnesses."""
+    tol = check_tolerance(tol)
     witnesses = []
     max_dev = 0.0
     for lo, hi in combinations(range(1, T.n + 1), 2):
@@ -157,16 +141,12 @@ def _potential(T: ObjectiveSkeleton) -> np.ndarray:
     return phi
 
 
-def vertex_potential(T: ObjectiveSkeleton) -> list[np.ndarray]:
-    """Potential built along the spanning tree; exact on tree edges."""
-    return list(_potential(T))
-
-
 def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
     """Potential check: every non-tree edge must match the tree potential.
 
     Equivalent to all circuit weights being the identity.
     """
+    tol = check_tolerance(tol)
     phi = _potential(T)
     tails, axes = T.skel.edge_arrays
     bits = 1 << (T.n - axes)

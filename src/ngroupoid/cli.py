@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis
 from .errors import CompositionError, NGroupoidError
-from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces, two_face_count
+from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
 from .matrices import DEFAULT_TOL, check_tolerance
 from .mixture import load_mixture
 from .skeleton import compose, dump_skeleton, load_skeleton
@@ -62,7 +62,7 @@ def cmd_skeleton(args) -> int:
     verts = 1 << n
     edges = n * (1 << (n - 1))
     if n >= 2:
-        print(f"vertices: {verts}, edges: {edges}, 2-faces: {two_face_count(n)}")
+        print(f"vertices: {verts}, edges: {edges}, 2-faces: {count_faces(n, 2) if n > 2 else 1}")
     else:
         print(f"vertices: {verts}, edges: {edges}")
     print(

@@ -169,10 +169,6 @@ class ConstituentGroupoid:
         A.flags.writeable = False
         return A
 
-    def contains_arrow(self, X: Label, Y: Label, weight: np.ndarray) -> bool:
-        """Whether ``weight`` lies within tolerance of some arrow X -> Y."""
-        return bool(close_to_any(weight, self.arrow_set(X, Y), self.tolerance))
-
     def is_transitive(self) -> bool:
         """True iff every ordered pair has a nonempty arrow set.
 

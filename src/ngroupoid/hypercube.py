@@ -46,20 +46,6 @@ class Face(NamedTuple):
         return len(self.free_axes)
 
 
-class Square(NamedTuple):
-    """A 2-face together with its oriented boundary.
-
-    ``boundary`` lists the four edges cyclically starting at the corner
-    where both free coordinates are 0: forward along the lower axis, forward
-    along the higher axis at the far side, then the two return edges.
-    """
-
-    face: Face
-    corner: int
-    axes: tuple[int, int]
-    boundary: tuple[Edge, Edge, Edge, Edge]
-
-
 class FacetPair(NamedTuple):
     """The two parallel (n-1)-faces orthogonal to one axis.
 
@@ -89,17 +75,6 @@ def count_faces(n: int, h: int) -> int:
     if not 0 <= h < n:
         raise ValueError(f"face dimension must lie in 0..{n - 1}, got {h}")
     return 2 ** (n - h) * math.comb(n, h)
-
-
-def two_face_count(n: int) -> int:
-    """Number of squares bounding commutativity, valid from n = 2 up.
-
-    Same formula as count_faces at h = 2, but n = 2 (one square, the cube
-    itself) stays in domain.
-    """
-    if n < 2:
-        raise ValueError(f"needs dimension >= 2, got {n}")
-    return 2 ** (n - 2) * math.comb(n, 2)
 
 
 def strip_axis(n: int, vertex: int, axis: int) -> int:
@@ -195,11 +170,6 @@ class HypercubeSkeleton:
             return None
         return self.n - diff.bit_length() + 1
 
-    def adjacent_from(self, a: int, b: int) -> bool:
-        """True when b is adjacent from a (one step forward along some axis)."""
-        axis = self.adjacency_class(a, b)
-        return axis is not None and bool(b & self.axis_bit(axis))
-
     def neighbors(self, v: int) -> list[int]:
         return [v ^ self.axis_bit(axis) for axis in range(1, self.n + 1)]
 
@@ -209,7 +179,7 @@ class HypercubeSkeleton:
         """All h-faces in deterministic enumeration order.
 
         Unlike count_faces this accepts h = n (the full cube as one face),
-        which two_faces needs at n = 2.
+        the one square of the 2-cube.
         """
         if not 0 <= h <= self.n:
             raise ValueError(f"face dimension must lie in 0..{self.n}, got {h}")
@@ -236,60 +206,6 @@ class HypercubeSkeleton:
             verts.append(v)
         return sorted(verts)
 
-    def face_edges(self, face: Face) -> list[Edge]:
-        """Edges lying inside a face (both endpoints in it), sorted."""
-        inside = set(self.face_vertices(face))
-        return [
-            Edge(tail, axis)
-            for tail in sorted(inside)
-            for axis in face.free_axes
-            if tail & self.axis_bit(axis) == 0 and tail | self.axis_bit(axis) in inside
-        ]
-
-    def two_faces(self) -> list[Square]:
-        """All 2-faces with their cyclic boundary edges.
-
-        Requires n >= 2.  For a square with corner c and free axes I < J the
-        boundary is (c -I-> , c+I -J->, c+J -I->, c -J->).
-        """
-        if self.n < 2:
-            raise ValueError(f"two_faces needs dimension >= 2, got {self.n}")
-        return [self.square(face) for face in self.faces(2)]
-
-    def square(self, face: Face) -> Square:
-        """Attach corner and boundary data to a 2-face."""
-        if face.h != 2:
-            raise ValueError(f"not a 2-face: {face}")
-        corner = 0
-        for axis, bit in face.fixed_bits:
-            if bit:
-                corner |= self.axis_bit(axis)
-        lo, hi = face.free_axes
-        boundary = (
-            Edge(corner, lo),
-            Edge(corner | self.axis_bit(lo), hi),
-            Edge(corner | self.axis_bit(hi), lo),
-            Edge(corner, hi),
-        )
-        return Square(face, corner, (lo, hi), boundary)
-
-    def faces_containing_edge(self, edge: Edge) -> list[Square]:
-        """The n-1 two-faces whose boundary includes the given edge."""
-        self.check_edge(edge)
-        out = []
-        for other in range(1, self.n + 1):
-            if other == edge.axis:
-                continue
-            lo, hi = sorted((edge.axis, other))
-            corner = edge.tail & ~self.axis_bit(other)
-            fixed = tuple(
-                (a, 1 if corner & self.axis_bit(a) else 0)
-                for a in range(1, self.n + 1)
-                if a not in (lo, hi)
-            )
-            out.append(self.square(Face((lo, hi), fixed)))
-        return out
-
     def facet_pair(self, axis: int) -> FacetPair:
         """The two (n-1)-facets orthogonal to an axis plus their vertex map."""
         bit = self.axis_bit(axis)
@@ -308,10 +224,6 @@ class HypercubeSkeleton:
         breadth-first tree visiting vertices and axes in ascending order.
         """
         return tuple(Edge(t, self.n - j) for j in range(self.n) for t in range(1 << j))
-
-    def cotree_edges(self) -> tuple[Edge, ...]:
-        """Edges outside the spanning tree; they index the cycle space."""
-        return tuple(e for e in self.edges() if e.tail >= self.axis_bit(e.axis))
 
     def simple_cycles(self) -> list[tuple[int, ...]]:
         """Every simple cycle as a vertex tuple (first vertex not repeated).

@@ -44,7 +44,7 @@ def _floats(data: object) -> np.ndarray | None:
         return None
     try:
         return np.array(data, dtype=float)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         return None
 
 
@@ -73,7 +73,9 @@ def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
 
 
 def check_tolerance(tol: object) -> float:
-    """A comparison tolerance: a finite number > 0, not a boolean."""
+    """A comparison tolerance: a finite number > 0, numpy scalars included, not a boolean."""
+    if isinstance(tol, (np.integer, np.floating)):
+        tol = tol.item()
     if type(tol) not in (int, float) or not 0 < tol <= sys.float_info.max:
         raise ValueError(f"must be a finite number > 0, got {tol!r}")
     return float(tol)

@@ -20,6 +20,7 @@ from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
     check_invertible,
+    check_tolerance,
     close_to_any,
     first_invalid,
     rel_distances,
@@ -69,6 +70,7 @@ class ObjectiveSkeleton:
         )
 
     def close_to(self, other: "ObjectiveSkeleton", tol: float = DEFAULT_TOL) -> bool:
+        tol = check_tolerance(tol)
         return (
             self.n == other.n
             and self.vertices == other.vertices
@@ -211,7 +213,7 @@ def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
     weight(T-edge) @ weight(Tp-edge) over the facet correspondence.  A glued
     weight that overflows or is singular raises ValueError naming its edge.
     """
-    _check_glue(T, Tp, axis, tol)
+    _check_glue(T, Tp, axis, check_tolerance(tol))
     with np.errstate(over="ignore"):  # an overflowing product fails the weight check
         weights = _axis_weights(T, axis) @ _axis_weights(Tp, axis)
     return assemble_from_facets(source_facet(Tp, axis), target_facet(T, axis), axis, weights)

@@ -22,9 +22,27 @@ def rel_distance(a, b):
     return float(np.linalg.norm(a - b) / scale)
 
 
-def face2_commutes(T, face, tol=DEFAULT_TOL):
-    c = face.corner
-    lo, hi = face.axes
+def squares(skel):
+    """(corner, axes) of every 2-face, in the order of skel.faces(2).
+
+    The corner is the vertex where both free coordinates are 0.
+    """
+    return [
+        (sum(skel.axis_bit(a) for a, bit in face.fixed_bits if bit), face.free_axes)
+        for face in skel.faces(2)
+    ]
+
+
+def face2_commutes(T, c, axes, tol=DEFAULT_TOL):
+    """Whether the two edge paths around a square match, plus the holonomy.
+
+    With corner c and free axes I < J the comparison is
+
+        w(J-edge at c+I) @ w(I-edge at c)  vs  w(I-edge at c+J) @ w(J-edge at c)
+
+    and the holonomy is the left side times the inverse of the right.
+    """
+    lo, hi = axes
     b_lo, b_hi = T.skel.axis_bit(lo), T.skel.axis_bit(hi)
     left = T.weight(Edge(c | b_lo, hi)) @ T.weight(Edge(c, lo))
     right = T.weight(Edge(c | b_hi, lo)) @ T.weight(Edge(c, hi))
@@ -37,12 +55,12 @@ def is_conservative(T, tol=DEFAULT_TOL):
     witnesses = []
     max_dev = 0.0
     if T.n >= 2:
-        for sq in T.skel.two_faces():
-            ok, holonomy = face2_commutes(T, sq, tol)
+        for c, axes in squares(T.skel):
+            ok, holonomy = face2_commutes(T, c, axes, tol)
             dev = identity_deviation(holonomy)
             max_dev = max(max_dev, dev)
             if not ok:
-                witnesses.append(FaceWitness(sq.corner, sq.axes, holonomy, dev))
+                witnesses.append(FaceWitness(c, axes, holonomy, dev))
     witnesses.sort(key=lambda w: (w.corner, w.axes))
     return not witnesses, witnesses, max_dev
 

@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from ngroupoid import analysis
 from ngroupoid.analysis import (
     circuit_steps,
     conservative_oracle,
     core_arrows,
-    face2_commutes,
     is_conservative,
     is_uniform,
     path_weight,
@@ -17,7 +17,6 @@ from ngroupoid.analysis import (
     random_conservative,
     skeleton_from_potential,
     theorem_sweep,
-    vertex_potential,
 )
 from ngroupoid.errors import PathError, UnknownBasePointError
 from ngroupoid.hypercube import Edge, HypercubeSkeleton
@@ -62,33 +61,33 @@ def test_path_weight_rejects_broken_chain():
 
 
 def test_face2_all_units_commutes():
-    T = all_unit(2)
-    ok, hol = face2_commutes(T, T.skel.two_faces()[0])
-    assert ok
-    assert np.allclose(hol, np.eye(3))
+    rep = is_conservative(all_unit(2))
+    assert rep.verdict and not rep.witnesses
+    assert rep.max_deviation == 0.0
 
 
 def test_face2_potential_commutes():
-    T = random_conservative(2, seed=11)
-    ok, hol = face2_commutes(T, T.skel.two_faces()[0])
-    assert ok
-    assert identity_deviation(hol) < 1e-12
+    rep = is_conservative(random_conservative(2, seed=11))
+    assert rep.verdict and not rep.witnesses
+    assert rep.max_deviation < 1e-12
 
 
 def test_face2_doubled_edge_fails():
     T = random_conservative(2, seed=12)
-    sq = T.skel.two_faces()[0]
     W = T.W.copy()
     k = T.skel.edge_index[0, 0]  # the axis-1 edge at the corner
     D = np.diag([2.0, 1.0, 1.0])
     W[k] = W[k] @ D
     bad = ObjectiveSkeleton(2, T.vertices, W)
-    ok, hol = face2_commutes(bad, sq)
-    assert not ok
+    rep = is_conservative(bad)
+    assert not rep.verdict
+    [w] = rep.witnesses
+    assert (w.corner, w.axes) == (0, (1, 2))
     # right-multiplying the corner edge conjugates the perturbation away:
     # holonomy = L' R^-1 = (w_J' w_I D) (w_J' w_I)^-1
     base = T.weight(Edge(2, 2)) @ T.weight(Edge(0, 1))
-    assert np.allclose(hol, base @ D @ np.linalg.inv(base))
+    assert np.allclose(w.holonomy, base @ D @ np.linalg.inv(base))
+    assert w.deviation == rep.max_deviation
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -104,7 +103,7 @@ def test_all_unit_conservative_with_identity_potential():
     T = all_unit(3)
     assert is_conservative(T).verdict
     assert conservative_oracle(T)
-    for phi in vertex_potential(T):
+    for phi in analysis._potential(T):
         assert np.allclose(phi, np.eye(3))
 
 
@@ -115,12 +114,30 @@ def test_perturbed_witnesses_are_the_incident_faces(n):
     rep = is_conservative(P)
     assert not rep.verdict
     assert len(rep.witnesses) == n - 1
+    # the square on the edge and another axis has its corner where that axis is 0
     incident = {
-        (sq.corner, sq.axes) for sq in P.skel.faces_containing_edge(edge)
+        (edge.tail & ~P.skel.axis_bit(other), tuple(sorted((edge.axis, other))))
+        for other in range(1, n + 1) if other != edge.axis
     }
     assert {(w.corner, w.axes) for w in rep.witnesses} == incident
     assert all(w.deviation > 1e-2 for w in rep.witnesses)
     assert not conservative_oracle(P)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1, True])
+def test_library_rejects_bad_tolerance(tol):
+    T = random_conservative(3, seed=1, vertices=["X"] * 8)
+    other = random_conservative(3, seed=2, vertices=["X"] * 8)
+    calls = [
+        lambda: is_conservative(T, tol),
+        lambda: conservative_oracle(T, tol),
+        lambda: compose(other, T, 1, tol=tol),  # facets differ: no tolerance may glue them
+        lambda: T.close_to(T, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert is_conservative(T, np.float64(1e-9)).verdict  # numpy scalars are numbers
 
 
 def test_checkers_agree_on_sweeps():

@@ -14,23 +14,23 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from ngroupoid import analysis
 from ngroupoid.analysis import (
     circuit_steps,
     conservative_oracle,
     core_arrows,
-    face2_commutes,
     is_conservative,
     path_weight,
     perturb_edge,
     random_composable_chain,
     random_conservative,
-    vertex_potential,
 )
 from ngroupoid.errors import CompositionError, ConstructionHalted, GroupValidationError
 from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.hypercube import HypercubeSkeleton
 from ngroupoid.matrices import DEFAULT_TOL as TOL
 from ngroupoid.matrices import (
+    close_to_any,
     identity_deviation,
     identity_deviations,
     random_invertible,
@@ -74,23 +74,13 @@ def test_face_check_matches_reference(n):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_single_face_matches_reference(n):
-    for T in population(n):
-        for sq in T.skel.two_faces():
-            ok, hol = face2_commutes(T, sq)
-            ref_ok, ref_hol = ref.face2_commutes(T, sq)
-            assert ok == ref_ok
-            assert np.array_equal(hol, ref_hol)
-
-
 @pytest.mark.parametrize("n", DIMENSIONS)
 def test_potential_check_matches_reference(n):
     verdicts = set()
     for T in population(n):
         verdict = ref.conservative_oracle(T)
         assert conservative_oracle(T) == verdict
-        for got, want in zip(vertex_potential(T), ref.vertex_potential(T)):
+        for got, want in zip(analysis._potential(T), ref.vertex_potential(T)):
             assert np.array_equal(got, want)
         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -100,8 +90,6 @@ def test_potential_check_matches_reference(n):
 def test_spanning_tree_is_the_breadth_first_tree(n):
     skel = HypercubeSkeleton(n)
     assert set(skel.spanning_tree()) == set(ref.bfs_tree(skel))
-    tree = set(skel.spanning_tree())
-    assert skel.cotree_edges() == tuple(e for e in skel.edges() if e not in tree)
 
 
 @pytest.mark.parametrize("n,axis", [(2, 1), (3, 2), (4, 4), (6, 2)])
@@ -208,7 +196,8 @@ def assert_groupoid_matches(mix, members=True):
         if members:
             for w, eps, c in itertools.product(firsts, (0.0, TOL / 2, TOL, 2 * TOL), mix.constituents):
                 cand = w * (1 + eps)
-                assert c.contains_arrow(X, Y, cand) == ref.contains_arrow(c, X, Y, cand)
+                got = close_to_any(cand, c.arrow_set(X, Y), c.tolerance)
+                assert got == ref.contains_arrow(c, X, Y, cand)
 
 
 @pytest.mark.parametrize("mix", fixture_mixtures(), ids=lambda m: "-".join(m.base_points))

@@ -32,6 +32,16 @@ def test_skeleton_summary_n1(run_cli):
     assert out.splitlines()[0] == "vertices: 2, edges: 1"
 
 
+@pytest.mark.parametrize("n,first", [
+    (2, "vertices: 4, edges: 4, 2-faces: 1"),  # the 2-cube is its own square
+    (12, "vertices: 4096, edges: 24576, 2-faces: 67584"),
+])
+def test_skeleton_summary_square_count(run_cli, n, first):
+    code, out = run_cli("skeleton", "--n", n)
+    assert code == 0
+    assert out.splitlines()[0] == first
+
+
 def test_skeleton_h_flag(run_cli):
     code, out = run_cli("skeleton", "--n", 4, "--h", 2)
     assert code == 0

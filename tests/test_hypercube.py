@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 
 from ngroupoid.hypercube import (
     MAX_DIMENSION,
-    Edge,
     HypercubeSkeleton,
     axis_bit,
     count_faces,
     insert_axis,
     strip_axis,
-    two_face_count,
 )
 
 
@@ -20,7 +18,6 @@ def test_count_faces_known_values():
     assert count_faces(3, 0) == 8
     assert count_faces(4, 1) == 32
     assert count_faces(4, 2) == 24
-    assert two_face_count(2) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -60,8 +57,6 @@ def test_adjacency_examples():
     assert skel.adjacency_class(0, 4) == 1
     assert skel.adjacency_class(0, 3) is None
     assert skel.adjacency_class(5, 7) == 2
-    assert skel.adjacent_from(5, 7)
-    assert not skel.adjacent_from(7, 5)
 
 
 def test_vertex_4_lies_along_axis_1():
@@ -69,7 +64,6 @@ def test_vertex_4_lies_along_axis_1():
     assert axis_bit(3, 1) == 4
     assert axis_bit(3, 3) == 1
     skel = HypercubeSkeleton(3)
-    assert skel.adjacent_from(0, 4)
     assert skel.adjacency_class(0, 1) == 3
 
 
@@ -79,8 +73,6 @@ def test_adjacency_symmetric(n, data):
     a = data.draw(st.integers(0, skel.num_vertices - 1))
     b = data.draw(st.integers(0, skel.num_vertices - 1))
     assert skel.adjacency_class(a, b) == skel.adjacency_class(b, a)
-    if skel.adjacency_class(a, b) is not None and a != b:
-        assert skel.adjacent_from(a, b) != skel.adjacent_from(b, a)
 
 
 def test_degrees():
@@ -126,35 +118,12 @@ def test_facet_pair_partition_and_correspondence(n, axis):
 
 
 def test_two_face_counts():
-    assert len(HypercubeSkeleton(2).two_faces()) == 1
-    assert len(HypercubeSkeleton(3).two_faces()) == 6
-    assert len(HypercubeSkeleton(4).two_faces()) == 24
+    # faces(2) includes the 2-cube itself, which count_faces excludes
+    assert len(HypercubeSkeleton(2).faces(2)) == 1
+    assert len(HypercubeSkeleton(3).faces(2)) == 6
+    assert len(HypercubeSkeleton(4).faces(2)) == 24
     with pytest.raises(ValueError):
-        HypercubeSkeleton(1).two_faces()
-
-
-def test_two_face_boundary_is_a_cycle():
-    skel = HypercubeSkeleton(3)
-    for sq in skel.two_faces():
-        lo, hi = sq.axes
-        assert lo < hi
-        e1, e2, e3, e4 = sq.boundary
-        # forward lo, forward hi from the far corner, then the return edges
-        assert e1 == Edge(sq.corner, lo)
-        assert e2 == Edge(sq.corner | skel.axis_bit(lo), hi)
-        assert e3 == Edge(sq.corner | skel.axis_bit(hi), lo)
-        assert e4 == Edge(sq.corner, hi)
-        # boundary edges are exactly the face's edges
-        assert sorted(sq.boundary) == skel.face_edges(sq.face)
-
-
-def test_faces_containing_edge():
-    skel = HypercubeSkeleton(4)
-    e = Edge(0, 2)
-    squares = skel.faces_containing_edge(e)
-    assert len(squares) == 3
-    for sq in squares:
-        assert e in sq.boundary
+        HypercubeSkeleton(1).faces(2)
 
 
 def test_spanning_tree_sizes():
@@ -162,7 +131,7 @@ def test_spanning_tree_sizes():
     assert len(HypercubeSkeleton(2).spanning_tree()) == 3
     s3 = HypercubeSkeleton(3)
     assert len(s3.spanning_tree()) == 7
-    assert len(s3.cotree_edges()) == 5  # cycle rank E - V + 1
+    assert s3.num_edges - len(s3.spanning_tree()) == 5  # cycle rank E - V + 1
 
 
 def test_spanning_tree_discovery_order():

@@ -296,6 +296,7 @@ def test_to_dict_layout():
         lambda d: d["edges"][0]["weight"].__setitem__(0, "-0.03") or "edges[0]",
         lambda d: d["edges"][1].update(weight=[True, False, False, False, True,
                                                False, False, False, True]) or "edges[1]",
+        lambda d: d["edges"][0]["weight"].__setitem__(0, 10 ** 400) or "edges[0]",
     ],
 )
 def test_from_dict_rejects_malformed(mutate):
