@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis
 from .errors import CompositionError, NGroupoidError
-from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
+from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces, insert_axis
 from .matrices import DEFAULT_TOL, check_tolerance
 from .mixture import load_mixture
 from .skeleton import compose, dump_skeleton, load_skeleton
@@ -70,11 +70,10 @@ def cmd_skeleton(args) -> int:
         + ", ".join(f"h={h}: {count_faces(n, h)}" for h in range(n))
     )
     if n <= 6:
-        skel = HypercubeSkeleton(n)
+        half = np.arange(1 << (n - 1))
         for axis in range(1, n + 1):
-            fp = skel.facet_pair(axis)
-            f0 = ",".join(str(v) for v in skel.face_vertices(fp.facet0))
-            f1 = ",".join(str(v) for v in skel.face_vertices(fp.facet1))
+            f0, f1 = (",".join(map(str, insert_axis(n, half, axis, bit).tolist()))
+                      for bit in (0, 1))
             print(f"facet pair axis {axis}: {{{f0}}} / {{{f1}}}")
     else:
         print(f"facet pairs: {2 * n} facets, 2 per axis")

@@ -7,8 +7,10 @@ its archetype.  Every arrow set is then the finite coset
 
     P_XY = { K(Y) @ g @ inv(K(X)) : g in group }
 
-which is empty as soon as either implant is missing.  An arrow set is held
-as one float64 stack of shape (k, 3, 3).
+which is empty as soon as either implant is missing.  Since g -> K(Y) g
+inv(K(X)) is injective, a nonempty arrow set holds exactly |G| arrows, one
+float64 stack of shape (|G|, 3, 3) in group order.  Tolerance enters only
+where arrows are compared, never where a set is built.
 """
 
 from __future__ import annotations
@@ -115,14 +117,15 @@ class ConstituentGroupoid:
     """One constituent's material groupoid, given by implants and symmetries.
 
     ``implants`` maps a point label to the transplant matrix from the
-    archetype; points absent from the map have empty arrow sets.
+    archetype; points absent from the map have empty arrow sets.  A
+    constituent holds no tolerance: membership in its arrow sets is decided
+    with the tolerance of the mixture it belongs to.
     """
 
     name: str
     base: tuple[Label, ...]
     implants: dict[Label, np.ndarray]
     group: SymmetryGroup
-    tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
         self.base = tuple(self.base)
@@ -143,13 +146,10 @@ class ConstituentGroupoid:
             )
 
     def arrow_set(self, X: Label, Y: Label) -> np.ndarray:
-        """All arrows X -> Y as a read-only (k, 3, 3) stack, in group order.
+        """The coset P_XY as a read-only (|G|, 3, 3) stack, in group order.
 
-        Empty, of shape (0, 3, 3), when either implant is missing.  An arrow
-        within tolerance of an earlier kept arrow is dropped; distinct group
-        elements give distinct arrows, so this matters only for wide
-        tolerances or ill-conditioned implants.  A singular or non-finite
-        arrow raises FormatError.
+        Empty, of shape (0, 3, 3), when either implant is missing.  A singular
+        or non-finite arrow raises FormatError.
         """
         self._check_point(X)
         self._check_point(Y)
@@ -161,11 +161,6 @@ class ConstituentGroupoid:
         bad = first_invalid(A)
         if bad:
             raise FormatError(f"constituent {self.name!r}: arrow {X!r} -> {Y!r} {bad[1]}")
-        earlier = np.tril(rel_distances(A[:, None], A) <= self.tolerance, -1)
-        keep = np.ones(len(A), dtype=bool)
-        for i in np.flatnonzero(earlier.any(axis=1)).tolist():
-            keep[i] = not (earlier[i] & keep).any()
-        A = A[keep]
         A.flags.writeable = False
         return A
 

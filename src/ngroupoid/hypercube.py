@@ -46,18 +46,6 @@ class Face(NamedTuple):
         return len(self.free_axes)
 
 
-class FacetPair(NamedTuple):
-    """The two parallel (n-1)-faces orthogonal to one axis.
-
-    ``correspondence`` maps each facet0 vertex to the facet1 vertex at the
-    head of the connecting edge of that axis.
-    """
-
-    facet0: Face
-    facet1: Face
-    correspondence: dict[int, int]
-
-
 def axis_bit(n: int, axis: int) -> int:
     """Bit value of an axis in an n-bit vertex index (axis 1 = MSB)."""
     if not 1 <= axis <= n:
@@ -190,30 +178,6 @@ class HypercubeSkeleton:
             for bits in product((0, 1), repeat=len(fixed_axes)):
                 out.append(Face(free, tuple(zip(fixed_axes, bits))))
         return out
-
-    def face_vertices(self, face: Face) -> list[int]:
-        """Vertices of a face, ascending."""
-        base = 0
-        for axis, bit in face.fixed_bits:
-            if bit:
-                base |= self.axis_bit(axis)
-        verts = []
-        for bits in product((0, 1), repeat=face.h):
-            v = base
-            for axis, bit in zip(face.free_axes, bits):
-                if bit:
-                    v |= self.axis_bit(axis)
-            verts.append(v)
-        return sorted(verts)
-
-    def facet_pair(self, axis: int) -> FacetPair:
-        """The two (n-1)-facets orthogonal to an axis plus their vertex map."""
-        bit = self.axis_bit(axis)
-        free = tuple(a for a in range(1, self.n + 1) if a != axis)
-        facet0 = Face(free, ((axis, 0),))
-        facet1 = Face(free, ((axis, 1),))
-        correspondence = {v: v | bit for v in self.vertices if v & bit == 0}
-        return FacetPair(facet0, facet1, correspondence)
 
     # -- spanning tree and cycles ---------------------------------------------
 

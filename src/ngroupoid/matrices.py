@@ -44,7 +44,10 @@ def _floats(data: object) -> np.ndarray | None:
         return None
     try:
         return np.array(data, dtype=float)
-    except (ValueError, TypeError, OverflowError):
+    except OverflowError:  # an integer beyond the float range: read as infinite
+        return np.vectorize(lambda x: x if abs(x) <= sys.float_info.max else np.inf,
+                            otypes=[float])(np.array(data, dtype=object))
+    except (ValueError, TypeError):
         return None
 
 
@@ -72,12 +75,15 @@ def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     return ms
 
 
-def check_tolerance(tol: object) -> float:
-    """A comparison tolerance: a finite number > 0, numpy scalars included, not a boolean."""
+def check_tolerance(tol: object, name: str = "tolerance") -> float:
+    """A comparison tolerance: a finite number > 0, numpy scalars included, not a boolean.
+
+    Anything else raises ValueError, naming the value ``name``.
+    """
     if isinstance(tol, (np.integer, np.floating)):
         tol = tol.item()
     if type(tol) not in (int, float) or not 0 < tol <= sys.float_info.max:
-        raise ValueError(f"must be a finite number > 0, got {tol!r}")
+        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
     return float(tol)
 
 

@@ -75,9 +75,9 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
         raise FormatError(
             "mixture: field 'base_points' must be a nonempty list of strings or integers")
     try:
-        tolerance = check_tolerance(doc.get("tolerance", DEFAULT_TOL))
+        tolerance = check_tolerance(doc.get("tolerance", DEFAULT_TOL), "mixture: field 'tolerance'")
     except ValueError as exc:
-        raise FormatError(f"mixture: field 'tolerance' {exc}") from exc
+        raise FormatError(str(exc)) from exc
     raw_constituents = _require(doc, "constituents", "mixture")
     if not isinstance(raw_constituents, list):
         raise FormatError("mixture: field 'constituents' must be a list")
@@ -99,8 +99,7 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
             raise FormatError(f"{where}: field 'implants' must be an object")
         try:
             constituents.append(ConstituentGroupoid(
-                name=name, base=tuple(points), implants=implants_raw, group=group,
-                tolerance=tolerance))
+                name=name, base=tuple(points), implants=implants_raw, group=group))
         except (ValueError, UnknownBasePointError) as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
 

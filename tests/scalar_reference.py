@@ -156,16 +156,10 @@ def arrow_set(c, X, Y):
     if kx is None or ky is None:
         return []
     kx_inv = np.linalg.inv(kx)
-    out = []
-    for g in c.group:
-        w = ky @ g @ kx_inv
-        if not any(rel_distance(w, o) <= c.tolerance for o in out):
-            out.append(w)
-    return out
+    return [ky @ g @ kx_inv for g in c.group]
 
 
-def contains_arrow(c, X, Y, weight, tol=None):
-    tol = c.tolerance if tol is None else tol
+def contains_arrow(c, X, Y, weight, tol):
     return any(rel_distance(weight, a) <= tol for a in arrow_set(c, X, Y))
 
 

@@ -135,7 +135,7 @@ def test_library_rejects_bad_tolerance(tol):
         lambda: T.close_to(T, tol),
     ]
     for call in calls:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tolerance must be a finite number > 0"):
             call()
     assert is_conservative(T, np.float64(1e-9)).verdict  # numpy scalars are numbers
 

@@ -138,6 +138,16 @@ def test_check_against_mixture(run_cli, tmp_path, data_dir):
     assert run_cli("check", rand_path, "--mixture", mix_path)[0] == 2
 
 
+def test_check_against_mixture_ignores_group_order(run_cli, tmp_path, z4_order_case):
+    doc, w = z4_order_case
+    skel = {"n": 1, "vertices": ["X", "Y"],
+            "edges": [{"tail": 0, "axis": 1, "weight": w.ravel().tolist()}]}
+    mix_path, skel_path = tmp_path / "mix.json", tmp_path / "skel.json"
+    mix_path.write_text(json.dumps(doc))
+    skel_path.write_text(json.dumps(skel))
+    assert run_cli("check", skel_path, "--mixture", mix_path)[0] == 0
+
+
 def test_check_internal_disagreement(run_cli, tmp_path, monkeypatch):
     path = tmp_path / "t.json"
     run_cli("generate", "--n", 2, "--seed", 3, "--out", path)

@@ -285,7 +285,8 @@ def test_to_dict_layout():
         lambda d: d["vertices"].pop(),
         lambda d: d.update(n="two"),
         lambda d: d["edges"][0].update(weight=[0.0] * 9),
-        # the cases below return the record their error must name
+        # the cases below return the record their error must name, then
+        # after ": " the reason where it is pinned
         lambda d: d["edges"][1].update(weight=[1.0] * 8) or "edges[1]",
         lambda d: d["edges"][2].update(weight=["a"] * 9) or "edges[2]",
         lambda d: (d["edges"][1].update(weight=[0.0] * 9)  # singular before short
@@ -296,7 +297,8 @@ def test_to_dict_layout():
         lambda d: d["edges"][0]["weight"].__setitem__(0, "-0.03") or "edges[0]",
         lambda d: d["edges"][1].update(weight=[True, False, False, False, True,
                                                False, False, False, True]) or "edges[1]",
-        lambda d: d["edges"][0]["weight"].__setitem__(0, 10 ** 400) or "edges[0]",
+        lambda d: (d["edges"][0]["weight"].__setitem__(0, 10 ** 400)  # too large for a float
+                   or "edges[0]: has non-finite entries"),
     ],
 )
 def test_from_dict_rejects_malformed(mutate):
@@ -305,7 +307,8 @@ def test_from_dict_rejects_malformed(mutate):
     with pytest.raises(FormatError) as exc:
         skeleton_from_dict(json.loads(json.dumps(doc)))
     if isinstance(named, str):
-        assert str(exc.value).startswith(f"skeleton: {named}: weight ")
+        record, _, reason = named.partition(": ")
+        assert str(exc.value).startswith(f"skeleton: {record}: weight {reason}")
 
 
 def test_from_dict_mixed_flat_and_nested_weights():
