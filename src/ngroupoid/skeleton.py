@@ -326,8 +326,20 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     return ObjectiveSkeleton(n, vertices, W[record])
 
 
+# One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,
+# which is json's formatter for the finite floats a skeleton holds.
+_EDGE_RECORD = ('    {\n      "tail": %d,\n      "axis": %d,\n      "weight": [\n'
+                + ",\n".join(["        %r"] * 9) + "\n      ]\n    }")
+
+
 def dump_skeleton(T: ObjectiveSkeleton) -> str:
-    return json.dumps(skeleton_to_dict(T), indent=2) + "\n"
+    """``json.dumps(skeleton_to_dict(T), indent=2)`` plus a newline, edges templated."""
+    head = json.dumps({"n": T.n, "vertices": list(T.vertices)}, indent=2)[:-2]  # no "\n}"
+    tails, axes = T.skel.edge_arrays
+    records = [_EDGE_RECORD % (t, a, *w) for t, a, w in
+               zip(tails.tolist(), axes.tolist(), T.W.reshape(-1, 9).tolist())]
+    edges = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+    return f'{head},\n  "edges": {edges}\n}}\n'
 
 
 def save_skeleton(T: ObjectiveSkeleton, path: str) -> None:

@@ -5,13 +5,15 @@ groupoid layer: one 3x3 product or distance per call, driven by the
 hypercube enumerations and by loops over group elements.  The batched code
 must reproduce their results bit for bit.
 """
+import json
+
 import numpy as np
 
 from ngroupoid.analysis import FaceWitness
 from ngroupoid.errors import ConstructionHalted
 from ngroupoid.hypercube import Edge, HypercubeSkeleton, insert_axis
 from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, identity_deviation
-from ngroupoid.skeleton import ObjectiveSkeleton
+from ngroupoid.skeleton import ObjectiveSkeleton, skeleton_to_dict
 
 
 def rel_distance(a, b):
@@ -221,3 +223,8 @@ def build(mix, vertices):
 def identity_deviation_unscaled(m):
     """||m - I||_F / sqrt(3) through np.linalg.norm, without rescaling."""
     return float(np.linalg.norm(np.asarray(m, dtype=float) - IDENTITY) / np.sqrt(3.0))
+
+
+def dump_skeleton(T):
+    """The skeleton file text through json's own indenting encoder."""
+    return json.dumps(skeleton_to_dict(T), indent=2) + "\n"

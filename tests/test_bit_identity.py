@@ -5,7 +5,8 @@ every float and array, over conservative skeletons, perturbed ones, and ones
 with a single edge scaled by (1 + eps) for eps at and around the tolerance.
 The groupoid layer (arrow sets, membership, cores, group validation and
 validate_against) is compared the same way over the fixture mixtures and
-random mixtures over the 24-element cube rotation group.
+random mixtures over the 24-element cube rotation group.  The skeleton
+file writer is compared with json.dumps(indent=2) by exact string equality.
 """
 import itertools
 import pathlib
@@ -38,7 +39,7 @@ from ngroupoid.matrices import (
     rel_distances,
 )
 from ngroupoid.mixture import MixtureSpec, load_mixture
-from ngroupoid.skeleton import ObjectiveSkeleton, build, compose
+from ngroupoid.skeleton import ObjectiveSkeleton, build, compose, dump_skeleton, source_facet
 
 DIMENSIONS = range(2, 9)
 
@@ -345,3 +346,43 @@ def test_identity_deviation_matches_unscaled_formula():
     assert [identity_deviation(m) for m in ms] == want
     huge = identity_deviation(1e200 * np.eye(3))  # squares overflow; no warning either
     assert huge == identity_deviations(1e200 * np.eye(3))[0] and np.isfinite(huge)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 12])
+def test_dump_skeleton_matches_json(n):
+    T = random_conservative(n, seed=n)
+    assert dump_skeleton(T) == ref.dump_skeleton(T)
+
+
+def test_dump_skeleton_without_edges_matches_json():
+    T = source_facet(random_conservative(1, seed=0), 1)
+    assert T.n == 0
+    assert dump_skeleton(T) == ref.dump_skeleton(T)
+    assert '"edges": []' in dump_skeleton(T)
+
+
+LABELS = [
+    [3, -7, 0, 12],
+    [0.5, -0.0, 1e16, 2.5e-7],
+    [[1, [2, 3]], [], ["a", [0.1]], [[[]]]],
+    ['quote "q"', "back\\slash", "ctl \x00\x1f\t\n", "caf\u00e9 \u03c0 \U0001d11e"],
+]
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=["ints", "floats", "nested", "escaped"])
+def test_dump_skeleton_labels_match_json(labels):
+    T = random_conservative(2, seed=5, vertices=labels)
+    assert dump_skeleton(T) == ref.dump_skeleton(T)
+
+
+def test_dump_skeleton_extreme_weights_match_json():
+    entries = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               1e16, 1e-7, 0.1, 3.0, -2.0]
+    W = np.tile(np.eye(3), (12, 1, 1))  # unit upper triangles: det 1 whatever sits above
+    for k in range(12):
+        W[k, 0, 1], W[k, 0, 2], W[k, 1, 2] = (entries[(k + j) % 9] for j in range(3))
+    T = ObjectiveSkeleton(3, range(8), W)
+    text = dump_skeleton(T)
+    assert text == ref.dump_skeleton(T)
+    for x in entries:
+        assert f"        {x!r}," in text

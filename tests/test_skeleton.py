@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -317,3 +318,17 @@ def test_from_dict_mixed_flat_and_nested_weights():
     for rec in doc["edges"][1::2]:
         rec["weight"] = np.reshape(rec["weight"], (3, 3)).tolist()
     assert skeleton_from_dict(doc) == flat
+
+
+# SHA-256 of `generate --n 12 --seed 0` stdout, recorded with the json.dumps writer
+GENERATE_N12 = {
+    "conservative": "64c89863b11d080d7753b94b86b1ad010adf5dd2fe92ca1b4bce1d54b036f750",
+    "perturbed": "0c30d4dfd47d6046a372281f059326e21cbdf16d10c6c71c3bd180a0cd74b30d",
+}
+
+
+@pytest.mark.parametrize("mode", ["conservative", "perturbed"])
+def test_dump_skeleton_bytes_at_n12(run_cli, mode):
+    code, out = run_cli("generate", "--n", 12, "--seed", 0, "--mode", mode)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GENERATE_N12[mode]
