@@ -332,20 +332,34 @@ class UniformityReport:
 
 
 def is_uniform(mix: MixtureSpec) -> UniformityReport:
-    """Uniform iff the core connects a reference point to every point.
+    """Uniform iff the core connects the reference point x0 to every point.
 
-    Checking a single reference point suffices because core arrow sets are
-    closed under composition and inverse.  Every ordered pair with an empty
-    core is still reported, as a misalignment defect.
+    The core is a groupoid, so its nonempty arrow sets split the fully
+    implanted points (those with an implant in every constituent) into
+    orbits.  They are found by a sweep: each fully implanted point not yet
+    in an orbit, in base order, is a seed, and every such unassigned point
+    y, the seed included, with a nonempty ``core_arrows(mix, seed, y)``
+    joins the seed's orbit.  That takes at most P core tests per orbit,
+    and P in all for a uniform mixture.  The first seed is x0
+    whenever x0 is fully implanted, so the verdict is the x0 row of core
+    tests, exactly as a test of every pair would give it.  Every ordered
+    pair that does not lie inside one orbit is reported, in x-major base
+    order, as a misalignment defect.
     """
     points = mix.base_points
     x0 = points[0]
-    nonempty = {
-        (x, y): bool(core_arrows(mix, x, y)) for x in points for y in points
-    }
-    verdict = all(nonempty[(x0, y)] for y in points)
+    full = [p for p in points if all(p in c.implants for c in mix.constituents)]
+    orbit: dict[Label, Label] = {}
+    for seed in full:
+        if seed in orbit:
+            continue
+        for y in full:
+            if y not in orbit and core_arrows(mix, seed, y):
+                orbit[y] = seed
+    verdict = all(orbit.get(y) == x0 for y in points)
     defects = [
-        (x, y) for x in points for y in points if not nonempty[(x, y)]
+        (x, y) for x in points for y in points
+        if x not in orbit or orbit[x] != orbit.get(y)
     ]
     transitivity = {c.name: c.is_transitive() for c in mix.constituents}
     return UniformityReport(verdict, x0, defects, transitivity)

@@ -45,6 +45,9 @@ class MixtureSpec:
             )
         if len(set(self.base_points)) != len(self.base_points):
             raise FormatError("duplicate base point labels")
+        names = [c.name for c in self.constituents]
+        if len(set(names)) != len(names):
+            raise FormatError("duplicate constituent names")
         for c in self.constituents:
             if tuple(c.base) != self.base_points:
                 raise FormatError(
@@ -83,6 +86,7 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
         raise FormatError("mixture: field 'constituents' must be a list")
 
     constituents = []
+    groups: dict[str, SymmetryGroup] = {}  # one validation per distinct spec
     for idx, raw in enumerate(raw_constituents):
         where = f"constituent[{idx}]"
         if not isinstance(raw, dict):
@@ -90,16 +94,20 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
         name = raw.get("name", f"constituent-{idx + 1}")
         if not isinstance(name, str):
             raise FormatError(f"{where}: field 'name' must be a string")
-        try:
-            group = SymmetryGroup.from_spec(_require(raw, "symmetry", where), tol=tolerance)
-        except (GroupValidationError, ValueError) as exc:
-            raise FormatError(f"{where} ({name}): {exc}") from exc
+        spec = _require(raw, "symmetry", where)
+        key = repr(spec)
+        if key not in groups:
+            try:
+                groups[key] = SymmetryGroup.from_spec(spec, tol=tolerance)
+            except (GroupValidationError, ValueError) as exc:
+                raise FormatError(f"{where} ({name}): {exc}") from exc
         implants_raw = _require(raw, "implants", where)
         if not isinstance(implants_raw, dict):
             raise FormatError(f"{where}: field 'implants' must be an object")
         try:
             constituents.append(ConstituentGroupoid(
-                name=name, base=tuple(points), implants=implants_raw, group=group))
+                name=name, base=tuple(points), implants=implants_raw,
+                group=groups[key]))
         except (ValueError, UnknownBasePointError) as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
 

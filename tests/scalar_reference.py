@@ -3,13 +3,14 @@
 These are the original loop versions of the batched checkers and of the
 groupoid layer: one 3x3 product or distance per call, driven by the
 hypercube enumerations and by loops over group elements.  The batched code
-must reproduce their results bit for bit.
+must reproduce their results bit for bit.  The uniformity decision is kept
+as its original core test of every ordered pair of points.
 """
 import json
 
 import numpy as np
 
-from ngroupoid.analysis import FaceWitness
+from ngroupoid.analysis import FaceWitness, UniformityReport
 from ngroupoid.errors import ConstructionHalted
 from ngroupoid.hypercube import Edge, HypercubeSkeleton, insert_axis
 from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, identity_deviation
@@ -178,6 +179,24 @@ def core_arrows(mix, X, Y):
             for i in range(mix.n)
         )
     ]
+
+
+def is_uniform(mix, core=core_arrows):
+    """The uniformity report from a core test of every ordered pair.
+
+    The verdict is the reference point's row; every pair with an empty core
+    is a defect, in x-major base order.  ``core`` is the core function the
+    P^2 loop calls, this module's by default.
+    """
+    points = mix.base_points
+    x0 = points[0]
+    nonempty = {(x, y): bool(core(mix, x, y)) for x in points for y in points}
+    return UniformityReport(
+        all(nonempty[x0, y] for y in points),
+        x0,
+        [(x, y) for x in points for y in points if not nonempty[x, y]],
+        {c.name: c.is_transitive() for c in mix.constituents},
+    )
 
 
 def validate_error(T, mix):

@@ -5,7 +5,8 @@ every float and array, over conservative skeletons, perturbed ones, and ones
 with a single edge scaled by (1 + eps) for eps at and around the tolerance.
 The groupoid layer (arrow sets, membership, cores, group validation and
 validate_against) is compared the same way over the fixture mixtures and
-random mixtures over the 24-element cube rotation group.  The skeleton
+random mixtures over the 24-element cube rotation group, and the orbit
+sweep of is_uniform with the core test of every ordered pair.  The skeleton
 file writer is compared with json.dumps(indent=2) by exact string equality.
 """
 import itertools
@@ -21,6 +22,7 @@ from ngroupoid.analysis import (
     conservative_oracle,
     core_arrows,
     is_conservative,
+    is_uniform,
     path_weight,
     perturb_edge,
     random_composable_chain,
@@ -291,6 +293,108 @@ def test_validate_against_matches_reference():
         with pytest.raises(ValueError) as exc:
             bad.validate_against(mix)
         assert str(exc.value) == want
+
+
+# -- uniformity -------------------------------------------------------------------
+
+def assert_uniformity_matches(mix, core=ref.core_arrows):
+    got, want = is_uniform(mix), ref.is_uniform(mix, core)
+    assert got.verdict == want.verdict
+    assert got.reference_point == want.reference_point
+    assert got.defect_pairs == want.defect_pairs
+    assert got.constituent_transitivity == want.constituent_transitivity
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("mix", fixture_mixtures(), ids=lambda m: "-".join(m.base_points))
+def test_uniformity_matches_reference_on_fixtures(mix):
+    assert_uniformity_matches(mix)
+
+
+@pytest.mark.parametrize("tolerance", [TOL, 1e-3])
+@pytest.mark.parametrize("points", [3, 5, 8])
+def test_uniformity_matches_reference_on_random_mixtures(points, tolerance):
+    # the P^2 loop runs on the library's core, which the groupoid tests above
+    # compare with the scalar core bit for bit; the scalar core over all
+    # 3,920 pairs would take about 15 s
+    kinds = set()
+    for seed in range(20):
+        mix = random_mixture(seed, points=points, tolerance=tolerance)
+        assert_uniformity_matches(mix, core_arrows)
+        full = [p for p in mix.base_points if all(p in c.implants for c in mix.constituents)]
+        kinds.add((len(full) == points, mix.base_points[0] in full))
+    assert {(False, True), (False, False)} <= kinds  # a point or x0 lacks an implant
+
+
+def linked_pairs(mix, defects):
+    pts = mix.base_points
+    return {(x, y) for x in pts for y in pts} - set(defects)
+
+
+def is_groupoid_relation(linked):
+    return (all((y, x) in linked for x, y in linked)
+            and all((x, z) in linked
+                    for (x, y), (y2, z) in itertools.product(linked, repeat=2) if y == y2))
+
+
+def test_orbit_defects_stay_a_groupoid_at_wide_tolerance():
+    # at tolerance 0.1 closeness is not transitive: the P^2 list has x -> y
+    # and y -> z linked but not x -> z, while the orbits stay consistent
+    mix = random_mixture(17, points=3, tolerance=0.1)
+    got, want = is_uniform(mix), ref.is_uniform(mix)
+    assert got.verdict == want.verdict
+    assert got.defect_pairs != want.defect_pairs
+    assert not is_groupoid_relation(linked_pairs(mix, want.defect_pairs))
+    assert is_groupoid_relation(linked_pairs(mix, got.defect_pairs))
+
+
+@pytest.mark.parametrize("tolerance", [1e-16, 0.1, 0.2, 0.3, 0.5])
+def test_uniformity_verdict_is_the_reference_row_at_any_tolerance(tolerance):
+    # below rounding a self-core can be empty; the seed tests itself, so the
+    # verdict stays the x0 row, also for one point, where it is that self-core
+    for seed, points in itertools.product(range(10), (1, 2, 5)):
+        mix = random_mixture(seed, points=points, tolerance=tolerance)
+        assert is_uniform(mix).verdict == ref.is_uniform(mix, core_arrows).verdict
+
+
+def counted_core(monkeypatch):
+    calls = []
+
+    def core(mix, X, Y):
+        calls.append((X, Y))
+        return core_arrows(mix, X, Y)
+
+    monkeypatch.setattr(analysis, "core_arrows", core)
+    return calls
+
+
+def test_uniform_mixture_costs_one_core_test_per_point(monkeypatch):
+    rng = np.random.default_rng(4)
+    base = tuple(f"P{i}" for i in range(8))
+    K = {p: random_invertible(rng) for p in base}
+    group = SymmetryGroup(CUBE)
+    mix = MixtureSpec(3, base, tuple(
+        ConstituentGroupoid(f"c{i}", base, {p: K[p] @ CUBE[rng.integers(24)] for p in base}, group)
+        for i in range(3)))
+    calls = counted_core(monkeypatch)
+    assert is_uniform(mix).verdict
+    assert calls == [("P0", p) for p in base]
+
+
+@pytest.mark.parametrize("points", [5, 8])
+def test_core_tests_are_at_most_points_times_orbits(monkeypatch, points):
+    calls = counted_core(monkeypatch)
+    for seed in range(20):
+        mix = random_mixture(seed, points=points)
+        calls.clear()
+        rep = is_uniform(mix)
+        linked = linked_pairs(mix, rep.defect_pairs)
+        orbit_of = {x: frozenset(y for x2, y in linked if x2 == x) for x, _ in linked}
+        seeds = list(dict.fromkeys(X for X, _ in calls))
+        assert set(seeds) == {min(o, key=mix.base_points.index) for o in orbit_of.values()}
+        assert len(calls) <= points * len(seeds)
+        # a later seed never tests a point an earlier seed's orbit took
+        assert not any(Y in orbit_of[s] for X, Y in calls for s in seeds[:seeds.index(X)])
 
 
 # -- walks, construction and deviations ---------------------------------------------

@@ -413,3 +413,43 @@ def test_constituent_name_must_be_a_string(run_cli, tmp_path, data_dir, capsys):
     capsys.readouterr()
     assert run_cli("uniformity", path) == (2, "")
     assert capsys.readouterr().err == "error: constituent[0]: field 'name' must be a string\n"
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["complete-first", "defective-first"])
+def test_duplicate_constituent_names_are_an_input_error(run_cli, tmp_path, data_dir, capsys,
+                                                        order):
+    # one name for a constituent with an implant at Y and one without would
+    # leave a single entry in the transitivity report
+    doc = json.loads((data_dir / "mixture_missing.json").read_text())
+    doc["constituents"] = [dict(doc["constituents"][i], name="a") for i in order]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    assert capsys.readouterr().err == "error: duplicate constituent names\n"
+
+
+def test_default_constituent_names_count_as_names(run_cli, tmp_path, data_dir, capsys):
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    doc["constituents"][0]["name"] = "constituent-2"
+    del doc["constituents"][1]["name"]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    assert capsys.readouterr().err == "error: duplicate constituent names\n"
+    del doc["constituents"][0]["name"]
+    path.write_text(json.dumps(doc))
+    assert run_cli("uniformity", path)[0] == 0
+
+
+def test_shared_bad_group_names_its_first_constituent(run_cli, tmp_path, data_dir, capsys):
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    for c in doc["constituents"]:
+        c["symmetry"] = [[1, 0, 0, 0, 1, 0, 0, 0, 1], [0, -1, 0, 1, 0, 0, 0, 0, 1]]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: constituent[0] (alpha): group not closed under inverse\n")

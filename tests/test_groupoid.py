@@ -192,3 +192,21 @@ def test_arrow_sets_closed_under_composition():
 def test_implant_at_undeclared_point_rejected():
     with pytest.raises(UnknownBasePointError):
         make_constituent({"X": I3, "Q": I3})
+
+
+def test_mixture_validates_each_distinct_group_once(monkeypatch):
+    calls = []
+    validate = SymmetryGroup._validate
+    monkeypatch.setattr(SymmetryGroup, "_validate",
+                        lambda self, tol: calls.append(len(self)) or validate(self, tol))
+    z2 = [I3.ravel().tolist(), (R90 @ R90).ravel().tolist()]
+    specs = ["cyclic_z_4", z2, "cyclic_z_4", list(z2), "trivial"]
+    mix = mixture_from_dict({
+        "n": len(specs), "base_points": ["X"],
+        "constituents": [{"name": f"c{i}", "symmetry": s, "implants": {"X": I3.ravel().tolist()}}
+                         for i, s in enumerate(specs)],
+    })
+    groups = [c.group for c in mix.constituents]
+    assert calls == [4, 2, 1]
+    assert groups[0] is groups[2] and groups[1] is groups[3]
+    assert len({id(g) for g in groups}) == 3
