@@ -9,7 +9,7 @@ the same property: all circuit weights are the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -100,33 +100,20 @@ class ConservativityReport:
         }
 
 
-def _square_paths(T: ObjectiveSkeleton, corners: np.ndarray, lo: int,
-                  hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both boundary paths of the squares at ``corners`` with free axes lo < hi."""
-    idx, W = T.skel.edge_index, T.W
-    b_lo, b_hi = T.skel.axis_bit(lo), T.skel.axis_bit(hi)
-    left = W[idx[corners | b_lo, hi - 1]] @ W[idx[corners, lo - 1]]
-    right = W[idx[corners | b_hi, lo - 1]] @ W[idx[corners, hi - 1]]
-    return left, right
-
-
 def is_conservative(T: ObjectiveSkeleton,
                     tol: float = DEFAULT_TOL) -> ConservativityReport:
     """Face check: commutativity of all 2-faces, with failing witnesses."""
     tol = check_tolerance(tol)
-    witnesses = []
-    max_dev = 0.0
-    for lo, hi in combinations(range(1, T.n + 1), 2):
-        corners = np.flatnonzero((T.skel.edge_index[:, [lo - 1, hi - 1]] >= 0).all(axis=1))
-        left, right = _square_paths(T, corners, lo, hi)
-        holonomy = left @ np.linalg.inv(right)
-        dev = identity_deviations(holonomy)
-        max_dev = max(max_dev, float(np.max(dev, initial=0.0, where=~np.isnan(dev))))
-        for k in np.flatnonzero(~(rel_distances(left, right) <= tol)).tolist():
-            witnesses.append(
-                FaceWitness(int(corners[k]), (lo, hi), holonomy[k], float(dev[k]))
-            )
-    witnesses.sort(key=lambda w: (w.corner, w.axes))
+    corner, lo, hi, edges = T.skel.squares
+    left = T.W[edges[:, 1]] @ T.W[edges[:, 0]]
+    right = T.W[edges[:, 3]] @ T.W[edges[:, 2]]
+    holonomy = left @ np.linalg.inv(right)
+    dev = identity_deviations(holonomy)
+    witnesses = [
+        FaceWitness(int(corner[k]), (int(lo[k]), int(hi[k])), holonomy[k].copy(), float(dev[k]))
+        for k in np.flatnonzero(~(rel_distances(left, right) <= tol)).tolist()
+    ]
+    max_dev = float(np.max(dev, initial=0.0, where=~np.isnan(dev)))
     return ConservativityReport(not witnesses, witnesses, max_dev)
 
 
@@ -148,10 +135,9 @@ def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
     """
     tol = check_tolerance(tol)
     phi = _potential(T)
-    tails, axes = T.skel.edge_arrays
-    bits = 1 << (T.n - axes)
-    cotree = tails >= bits  # tree edges end at a vertex whose highest bit is theirs
-    predicted = phi[tails[cotree] | bits[cotree]] @ np.linalg.inv(phi)[tails[cotree]]
+    tails, heads = T.skel.edge_arrays[0], T.skel.edge_heads
+    cotree = tails >= heads ^ tails  # tree edges end at a vertex whose highest bit is theirs
+    predicted = phi[heads[cotree]] @ np.linalg.inv(phi)[tails[cotree]]
     return bool((rel_distances(T.W[cotree], predicted) <= tol).all())
 
 
@@ -171,8 +157,7 @@ def skeleton_from_potential(n: int, phi: Sequence[np.ndarray],
     if vertices is None:
         vertices = range(skel.num_vertices)
     phi = np.asarray(phi, dtype=float)
-    tails, axes = skel.edge_arrays
-    W = phi[tails | (1 << (n - axes))] @ np.linalg.inv(phi)[tails]
+    W = phi[skel.edge_heads] @ np.linalg.inv(phi)[skel.edge_arrays[0]]
     return ObjectiveSkeleton(n, vertices, W)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis
 from .errors import CompositionError, NGroupoidError
-from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces, insert_axis
+from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
 from .matrices import DEFAULT_TOL, check_tolerance
 from .mixture import load_mixture
 from .skeleton import compose, dump_skeleton, load_skeleton
@@ -59,28 +59,22 @@ def cmd_skeleton(args) -> int:
             return _fail(f"--h must lie in 0..{n - 1}, got {args.h}")
         print(count_faces(n, args.h))
         return EXIT_OK
-    verts = 1 << n
-    edges = n * (1 << (n - 1))
-    if n >= 2:
-        print(f"vertices: {verts}, edges: {edges}, 2-faces: {count_faces(n, 2) if n > 2 else 1}")
-    else:
-        print(f"vertices: {verts}, edges: {edges}")
+    skel = HypercubeSkeleton(n)
+    print(f"vertices: {skel.num_vertices}, edges: {skel.num_edges}"
+          + (f", 2-faces: {len(skel.squares[0])}" if n >= 2 else ""))
     print(
         "h-face counts: "
         + ", ".join(f"h={h}: {count_faces(n, h)}" for h in range(n))
     )
     if n <= 6:
-        half = np.arange(1 << (n - 1))
         for axis in range(1, n + 1):
-            f0, f1 = (",".join(map(str, insert_axis(n, half, axis, bit).tolist()))
-                      for bit in (0, 1))
+            f0, f1 = (",".join(map(str, skel.facet(axis, bit)[0].tolist())) for bit in (0, 1))
             print(f"facet pair axis {axis}: {{{f0}}} / {{{f1}}}")
     else:
         print(f"facet pairs: {2 * n} facets, 2 per axis")
     if args.edges:
-        skel = HypercubeSkeleton(n)
-        for e in skel.edges():
-            print(f"{e.tail} -{e.axis}-> {skel.head(e)}")
+        for (tail, axis), head in zip(skel.edges(), skel.edge_heads.tolist()):
+            print(f"{tail} -{axis}-> {head}")
     return EXIT_OK
 
 

@@ -41,10 +41,6 @@ class Face(NamedTuple):
     free_axes: tuple[int, ...]
     fixed_bits: tuple[tuple[int, int], ...]
 
-    @property
-    def h(self) -> int:
-        return len(self.free_axes)
-
 
 def axis_bit(n: int, axis: int) -> int:
     """Bit value of an axis in an n-bit vertex index (axis 1 = MSB)."""
@@ -65,20 +61,8 @@ def count_faces(n: int, h: int) -> int:
     return 2 ** (n - h) * math.comb(n, h)
 
 
-def strip_axis(n: int, vertex: int, axis: int) -> int:
-    """Reindex an n-cube vertex into the (n-1)-cube left by deleting an axis.
-
-    Remaining axes keep their relative order: axis J maps to J for J < axis
-    and to J - 1 for J > axis.
-    """
-    low_width = n - axis
-    low = vertex & ((1 << low_width) - 1)
-    high = vertex >> (low_width + 1)
-    return (high << low_width) | low
-
-
 def insert_axis(n: int, vertex: int, axis: int, bit: int) -> int:
-    """Inverse of strip_axis; n is the enlarged dimension holding ``axis``."""
+    """The n-cube vertex with ``bit`` on ``axis`` and (n-1)-cube ``vertex`` on the rest."""
     low_width = n - axis
     low = vertex & ((1 << low_width) - 1)
     high = vertex >> low_width
@@ -130,6 +114,39 @@ class HypercubeSkeleton:
         """Tails and axes of edges(), as two integer arrays in that order."""
         tails, cols = np.nonzero(self.edge_index >= 0)
         return tails, cols + 1
+
+    @cached_property
+    def edge_heads(self) -> np.ndarray:
+        """Head of each edge of edges(): its tail with the axis bit set."""
+        tails, axes = self.edge_arrays
+        return tails | (1 << (self.n - axes))
+
+    @cached_property
+    def squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every 2-face as arrays (corner, lo, hi, edges), sorted by (corner, lo, hi).
+
+        The corner is the vertex where both free axes lo < hi are 0.  Row k
+        of the (S, 4) array ``edges`` holds the edge rows of square k's two
+        paths from its corner: lo then hi, and hi then lo.
+        """
+        lo, hi = np.triu_indices(self.n, 1)
+        idx = self.edge_index
+        corner, pair = np.nonzero((idx[:, lo] >= 0) & (idx[:, hi] >= 0))
+        lo, hi = lo[pair], hi[pair]
+        first_lo, first_hi, heads = idx[corner, lo], idx[corner, hi], self.edge_heads
+        edges = np.stack([first_lo, idx[heads[first_lo], hi],
+                          first_hi, idx[heads[first_hi], lo]], axis=1)
+        return corner, lo + 1, hi + 1, edges
+
+    def facet(self, axis: int, bit: int) -> tuple[np.ndarray, np.ndarray]:
+        """The facet where ``axis`` is ``bit``, in the (n-1)-cube's numbering: the
+        n-cube vertex of each facet vertex and the edge row of each facet edge.
+        """
+        self.axis_bit(axis)  # validates the axis
+        sub = HypercubeSkeleton(self.n - 1)
+        vertices = insert_axis(self.n, np.arange(sub.num_vertices), axis, bit)
+        tails, axes = sub.edge_arrays
+        return vertices, self.edge_index[vertices[tails], axes - (axes < axis)]
 
     def head(self, edge: Edge) -> int:
         return edge.tail | self.axis_bit(edge.axis)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CompositionError, ConstructionHalted, FormatError, read_json
 from .groupoid import Label
-from .hypercube import Edge, HypercubeSkeleton, insert_axis, strip_axis
+from .hypercube import Edge, HypercubeSkeleton
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
@@ -108,9 +108,8 @@ def _arrow_groups(skel: HypercubeSkeleton, vertices: tuple) -> dict[tuple, list[
     Groups come in the order of their first edge.
     """
     tails, axes = skel.edge_arrays
-    heads = tails | (1 << (skel.n - axes))
     groups: dict[tuple, list[int]] = {}
-    for k, (a, t, h) in enumerate(zip(axes.tolist(), tails.tolist(), heads.tolist())):
+    for k, (a, t, h) in enumerate(zip(axes.tolist(), tails.tolist(), skel.edge_heads.tolist())):
         groups.setdefault((a, vertices[t], vertices[h]), []).append(k)
     return groups
 
@@ -134,13 +133,8 @@ def build(mix: MixtureSpec, vertices: Iterable[Label]) -> ObjectiveSkeleton:
 
 
 def _facet(T: ObjectiveSkeleton, axis: int, bit: int) -> ObjectiveSkeleton:
-    n = T.n
-    T.skel.axis_bit(axis)  # validates the axis
-    sub = HypercubeSkeleton(n - 1)
-    big = insert_axis(n, np.arange(sub.num_vertices), axis, bit)
-    tails, axes = sub.edge_arrays
-    W = T.W[T.skel.edge_index[big[tails], axes - 1 + (axes >= axis)]]
-    return ObjectiveSkeleton(n - 1, [T.vertices[v] for v in big.tolist()], W)
+    vertices, rows = T.skel.facet(axis, bit)
+    return ObjectiveSkeleton(T.n - 1, [T.vertices[v] for v in vertices.tolist()], T.W[rows])
 
 
 def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
@@ -151,19 +145,16 @@ def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int
     """
     if F0.n != F1.n:
         raise CompositionError(f"facet dimension mismatch: {F0.n} vs {F1.n}")
-    n = F0.n + 1
-    skel = HypercubeSkeleton(n)
-    bit = skel.axis_bit(axis)
-    sub = strip_axis(n, np.arange(skel.num_vertices), axis).tolist()
-    vertices = [(F1 if v & bit else F0).vertices[w] for v, w in enumerate(sub)]
-    tails, axes = skel.edge_arrays
-    on, far = axes == axis, tails & bit != 0
+    skel = HypercubeSkeleton(F0.n + 1)
+    vertices = [None] * skel.num_vertices
     W = np.empty((skel.num_edges, 3, 3))
-    W[on] = weights
-    for F, sel in ((F0, ~on & ~far), (F1, ~on & far)):
-        sub_axes = axes[sel] - (axes[sel] > axis)
-        W[sel] = F.W[F.skel.edge_index[strip_axis(n, tails[sel], axis), sub_axes - 1]]
-    return ObjectiveSkeleton(n, vertices, W)
+    for F, bit in ((F0, 0), (F1, 1)):
+        on_facet, rows = skel.facet(axis, bit)
+        for v, p in zip(on_facet.tolist(), F.vertices):
+            vertices[v] = p
+        W[rows] = F.W
+    W[skel.edge_arrays[1] == axis] = weights
+    return ObjectiveSkeleton(skel.n, vertices, W)
 
 
 def source_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
@@ -186,20 +177,19 @@ def _check_glue(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
         raise CompositionError(f"dimension mismatch: {Tp.n} vs {T.n}")
     if not 1 <= axis <= T.n:
         raise CompositionError(f"axis must lie in 1..{T.n}, got {axis}")
-    mid_out = target_facet(Tp, axis)
-    mid_in = source_facet(T, axis)
-    for w, (a, b) in enumerate(zip(mid_out.vertices, mid_in.vertices)):
-        if a != b:
+    (v_out, rows_out), (v_in, rows_in) = Tp.skel.facet(axis, 1), T.skel.facet(axis, 0)
+    for w, (a, b) in enumerate(zip(v_out.tolist(), v_in.tolist())):
+        if Tp.vertices[a] != T.vertices[b]:
             raise CompositionError(
-                f"facet vertex {w}: {a!r} != {b!r} (target facet of the first "
-                f"factor must equal source facet of the second)"
+                f"facet vertex {w}: {Tp.vertices[a]!r} != {T.vertices[b]!r} (target facet "
+                f"of the first factor must equal source facet of the second)"
             )
-    d = rel_distances(mid_out.W, mid_in.W)
+    d = rel_distances(Tp.W[rows_out], T.W[rows_in])
     bad = np.flatnonzero(d > tol)
     if len(bad):
         k = bad[0]
         raise CompositionError(
-            f"facet edge {tuple(mid_out.skel.edges()[k])}: weights differ by "
+            f"facet edge {tuple(HypercubeSkeleton(T.n - 1).edges()[k])}: weights differ by "
             f"{d[k]:.3e} (tol {tol:.1e})"
         )
 
@@ -306,10 +296,14 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
             for key in ("tail", "axis", "weight"):
                 if key not in rec:
                     raise FormatError(f"skeleton: {where} missing field {key!r}")
+            for key in ("tail", "axis"):
+                if type(rec[key]) is not int:
+                    raise FormatError(
+                        f"skeleton: {where}: {key!r} must be an integer, got {rec[key]!r}")
             e = Edge(rec["tail"], rec["axis"])
             try:
                 skel.check_edge(e)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise FormatError(f"skeleton: {where}: {exc}") from exc
             k = index[e.tail][e.axis - 1]
             if record[k] >= 0:

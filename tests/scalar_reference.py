@@ -126,6 +126,52 @@ def glue_error(T, Tp, axis, tol=DEFAULT_TOL):
     return None
 
 
+def facet(T, axis, bit):
+    """T restricted to the facet where ``axis`` is ``bit``, one vertex and edge at a time."""
+    n = T.n
+    sub = HypercubeSkeleton(n - 1)
+    vertices = [T.vertices[insert_axis(n, v, axis, bit)] for v in sub.vertices]
+    W = [T.weight(Edge(insert_axis(n, e.tail, axis, bit), e.axis + (e.axis >= axis)))
+         for e in sub.edges()]
+    return ObjectiveSkeleton(n - 1, vertices, np.reshape(W, (-1, 3, 3)))
+
+
+def assemble(F0, F1, axis, axis_weight):
+    """The n-skeleton with axis-facets F0 and F1, one vertex and edge at a time.
+
+    ``axis_weight(tail)`` weighs the class-``axis`` edge at an n-cube tail.
+    """
+    n = F0.n + 1
+    skel = HypercubeSkeleton(n)
+    vertices = [None] * skel.num_vertices
+    weights = {}
+    for F, bit in ((F0, 0), (F1, 1)):
+        for v in F.skel.vertices:
+            vertices[insert_axis(n, v, axis, bit)] = F.vertices[v]
+        for e in F.skel.edges():
+            tail = insert_axis(n, e.tail, axis, bit)
+            weights[Edge(tail, e.axis + (e.axis >= axis))] = F.weight(e)
+    for v in range(skel.num_vertices // 2):
+        tail = insert_axis(n, v, axis, 0)
+        weights[Edge(tail, axis)] = axis_weight(tail)
+    return ObjectiveSkeleton(n, vertices, np.array([weights[e] for e in skel.edges()]))
+
+
+def unit_skeleton(F, axis):
+    return assemble(F, F, axis, lambda tail: IDENTITY)
+
+
+def inverse_axis(T, axis):
+    return assemble(facet(T, axis, 1), facet(T, axis, 0), axis,
+                    lambda tail: np.linalg.inv(T.weight(Edge(tail, axis))))
+
+
+def compose(T, Tp, axis):
+    """Tp then T along an axis, for a composable pair; the glue is not checked."""
+    return assemble(facet(Tp, axis, 0), facet(T, axis, 1), axis,
+                    lambda tail: T.weight(Edge(tail, axis)) @ Tp.weight(Edge(tail, axis)))
+
+
 # -- groupoid layer -------------------------------------------------------------
 
 def group_error(elements, tol=DEFAULT_TOL):

@@ -41,7 +41,16 @@ from ngroupoid.matrices import (
     rel_distances,
 )
 from ngroupoid.mixture import MixtureSpec, load_mixture
-from ngroupoid.skeleton import ObjectiveSkeleton, build, compose, dump_skeleton, source_facet
+from ngroupoid.skeleton import (
+    ObjectiveSkeleton,
+    build,
+    compose,
+    dump_skeleton,
+    inverse_axis,
+    source_facet,
+    target_facet,
+    unit_skeleton,
+)
 
 DIMENSIONS = range(2, 9)
 
@@ -112,6 +121,30 @@ def test_glue_error_matches_reference(n, axis):
         with pytest.raises(CompositionError) as exc:
             compose(B_bad, A, axis)
         assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_squares_table_matches_the_face_enumeration(n):
+    skel = HypercubeSkeleton(n)
+    corner, lo, hi, edges = skel.squares
+    got = list(zip(corner.tolist(), zip(lo.tolist(), hi.tolist())))
+    assert got == (sorted(ref.squares(skel)) if n >= 2 else [])
+    idx, bit = skel.edge_index, skel.axis_bit
+    for (c, (i, j)), row in zip(got, edges.tolist()):
+        # the two paths from the corner: axis i then j, and axis j then i
+        assert row == [idx[c, i - 1], idx[c | bit(i), j - 1], idx[c, j - 1], idx[c | bit(j), i - 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_facet_operations_match_reference(n):
+    for axis in range(1, n + 1):
+        A, B = random_composable_chain(n, axis, 2, seed=10 * n + axis)
+        assert source_facet(B, axis) == ref.facet(B, axis, 0)
+        assert target_facet(B, axis) == ref.facet(B, axis, 1)
+        assert inverse_axis(B, axis) == ref.inverse_axis(B, axis)
+        assert compose(B, A, axis) == ref.compose(B, A, axis)
+        F = source_facet(A, axis)
+        assert unit_skeleton(F, axis) == ref.unit_skeleton(F, axis)
 
 
 def test_rel_distance_matches_unscaled_formula():

@@ -10,7 +10,6 @@ from ngroupoid.hypercube import (
     axis_bit,
     count_faces,
     insert_axis,
-    strip_axis,
 )
 
 
@@ -170,14 +169,22 @@ def test_cycles_cross_each_facet_pair_evenly(n):
             assert crossings % 2 == 0
 
 
-@given(st.integers(1, 10), st.data())
-def test_strip_insert_roundtrip(n, data):
+@given(st.integers(1, 8), st.data())
+def test_facets_split_the_cube_and_keep_adjacency(n, data):
     axis = data.draw(st.integers(1, n))
-    v = data.draw(st.integers(0, 2 ** n - 1))
-    bit = 1 if v & axis_bit(n, axis) else 0
-    w = strip_axis(n, v, axis)
-    assert 0 <= w < 2 ** (n - 1)
-    assert insert_axis(n, w, axis, bit) == v
+    skel, sub = HypercubeSkeleton(n), HypercubeSkeleton(n - 1)
+    (v0, rows0), (v1, rows1) = skel.facet(axis, 0), skel.facet(axis, 1)
+    # the two facets split the vertices, and the edges not on the axis
+    assert sorted(v0.tolist() + v1.tolist()) == list(skel.vertices)
+    assert all(v & axis_bit(n, axis) == 0 for v in v0.tolist())
+    off_axis = np.flatnonzero(skel.edge_arrays[1] != axis)
+    assert sorted(rows0.tolist() + rows1.tolist()) == off_axis.tolist()
+    # facet edge k joins the images of its endpoints in the (n-1)-cube
+    tails, heads = skel.edge_arrays[0], skel.edge_heads
+    assert heads.tolist() == [skel.head(e) for e in skel.edges()]
+    for verts, rows in ((v0, rows0), (v1, rows1)):
+        assert tails[rows].tolist() == verts[sub.edge_arrays[0]].tolist()
+        assert heads[rows].tolist() == verts[sub.edge_heads].tolist()
 
 
 def test_dimension_cap_default_and_override():

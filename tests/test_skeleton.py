@@ -300,6 +300,9 @@ def test_to_dict_layout():
                                                False, False, False, True]) or "edges[1]",
         lambda d: (d["edges"][0]["weight"].__setitem__(0, 10 ** 400)  # too large for a float
                    or "edges[0]: has non-finite entries"),
+        lambda d: d["edges"][0].update(axis=True),
+        lambda d: d["edges"][0].update(tail=True),
+        lambda d: d["edges"][0].update(tail=1.0),
     ],
 )
 def test_from_dict_rejects_malformed(mutate):
@@ -310,6 +313,15 @@ def test_from_dict_rejects_malformed(mutate):
     if isinstance(named, str):
         record, _, reason = named.partition(": ")
         assert str(exc.value).startswith(f"skeleton: {record}: weight {reason}")
+
+
+@pytest.mark.parametrize("field,value", [("axis", True), ("tail", True), ("tail", 1.0)])
+def test_from_dict_names_a_non_integer_tail_or_axis(field, value):
+    doc = skeleton_to_dict(random_conservative(2, seed=3))
+    doc["edges"][2][field] = value
+    with pytest.raises(FormatError) as exc:
+        skeleton_from_dict(doc)
+    assert str(exc.value) == f"skeleton: edges[2]: {field!r} must be an integer, got {value!r}"
 
 
 def test_from_dict_mixed_flat_and_nested_weights():
