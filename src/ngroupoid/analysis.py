@@ -25,7 +25,6 @@ from .matrices import (
     identity_deviations,
     random_invertible,
     rel_distances,
-    to_row_major,
 )
 from .mixture import MixtureSpec
 from .skeleton import ObjectiveSkeleton
@@ -57,18 +56,6 @@ def path_weight(T: ObjectiveSkeleton, walk: Sequence[int]) -> np.ndarray:
     return total
 
 
-def random_circuit(skel: HypercubeSkeleton, rng: np.random.Generator) -> list[int]:
-    """Random walk from vertex 0 until it first returns; vertices, closed."""
-    seq = [0]
-    v = 0
-    for _ in range(200_000):
-        v = int(rng.choice(skel.neighbors(v)))
-        seq.append(v)
-        if v == 0:
-            return seq
-    raise RuntimeError("random walk did not return within 200000 steps")
-
-
 # -- conservativity -----------------------------------------------------------
 
 class FaceWitness(NamedTuple):
@@ -92,7 +79,7 @@ class ConservativityReport:
                 {
                     "corner": w.corner,
                     "axes": list(w.axes),
-                    "holonomy": to_row_major(w.holonomy),
+                    "holonomy": w.holonomy.reshape(9).tolist(),
                     "deviation": w.deviation,
                 }
                 for w in self.witnesses
@@ -173,8 +160,7 @@ def random_conservative(n: int, seed=None,
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = _as_rng(seed)
-    phi = [random_invertible(rng) for _ in range(1 << n)]
-    return skeleton_from_potential(n, phi, vertices)
+    return skeleton_from_potential(n, random_invertible(rng, 1 << n), vertices)
 
 
 def perturb_edge(T: ObjectiveSkeleton, seed=None
@@ -188,7 +174,8 @@ def perturb_edge(T: ObjectiveSkeleton, seed=None
     k = int(rng.integers(T.skel.num_edges))
     W = T.W.copy()
     W[k] = PERTURBATION @ W[k]
-    return ObjectiveSkeleton(T.n, T.vertices, W), T.skel.edges()[k]
+    tails, axes = T.skel.edge_arrays
+    return ObjectiveSkeleton(T.n, T.vertices, W), Edge(int(tails[k]), int(axes[k]))
 
 
 def _window(n: int, grid: dict[tuple[int, ...], np.ndarray],
@@ -204,8 +191,8 @@ def _window(n: int, grid: dict[tuple[int, ...], np.ndarray],
 def _grid_potential(n: int, spans: dict[int, int],
                     rng: np.random.Generator) -> dict[tuple[int, ...], np.ndarray]:
     # spans[axis] = number of stacked cells along that axis (default 1)
-    ranges = [range(spans.get(a, 1) + 1) for a in range(1, n + 1)]
-    return {c: random_invertible(rng) for c in product(*ranges)}
+    cells = list(product(*(range(spans.get(a, 1) + 1) for a in range(1, n + 1))))
+    return dict(zip(cells, random_invertible(rng, len(cells))))
 
 
 def random_composable_chain(n: int, axis: int, count: int, seed=None

@@ -148,9 +148,6 @@ class HypercubeSkeleton:
         tails, axes = sub.edge_arrays
         return vertices, self.edge_index[vertices[tails], axes - (axes < axis)]
 
-    def head(self, edge: Edge) -> int:
-        return edge.tail | self.axis_bit(edge.axis)
-
     def check_edge(self, edge: Edge) -> None:
         if not 1 <= edge.axis <= self.n:
             raise ValueError(f"edge axis {edge.axis} out of range 1..{self.n}")

@@ -22,11 +22,6 @@ _SQRT3 = np.sqrt(3.0)
 _ROW_SHAPES = ((9,), (3, 3))
 
 
-def to_row_major(m: np.ndarray) -> list[float]:
-    """Flatten to the 9-float row-major list used in JSON files."""
-    return [float(x) for x in np.asarray(m, dtype=float).reshape(9)]
-
-
 def _numeric(data: object) -> bool:
     """Whether data is a number, a numeric array, or lists of them; not a boolean or string."""
     if isinstance(data, np.ndarray):
@@ -104,15 +99,22 @@ def identity_deviation(m: np.ndarray) -> float:
     return float(identity_deviations(m)[0])
 
 
-def random_invertible(rng: np.random.Generator) -> np.ndarray:
-    """Uniform[-1,1] entries, resampled until |det| > 0.1.
+def random_invertible(rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, 3, 3) stack of Uniform[-1,1] matrices, each resampled until |det| > 0.1.
 
-    The det floor keeps downstream inversions well conditioned.
+    The det floor keeps downstream inversions well conditioned.  Each round
+    draws only the matrices still needed and keeps those that pass, in
+    order, so the stack and the generator's state afterwards are those of
+    drawing one matrix at a time.
     """
-    while True:
-        m = rng.uniform(-1.0, 1.0, size=(3, 3))
-        if abs(np.linalg.det(m)) > 0.1:
-            return m
+    out = np.empty((count, 3, 3))
+    done = 0
+    while done < count:
+        m = rng.uniform(-1.0, 1.0, size=(count - done, 3, 3))
+        m = m[np.abs(np.linalg.det(m)) > 0.1]
+        out[done:done + len(m)] = m
+        done += len(m)
+    return out
 
 
 # -- stacks of (k, 3, 3) matrices, bit-identical to the scalar functions ----

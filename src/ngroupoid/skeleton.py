@@ -9,7 +9,7 @@ facet to a matching source facet and multiplying the connecting weights.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -257,6 +257,29 @@ def skeleton_to_dict(T: ObjectiveSkeleton) -> dict:
     }
 
 
+def _reject_record(skel: HypercubeSkeleton, idx: int, rec: object) -> NoReturn:
+    """Raise the FormatError for ``edges[idx]``, a record that is no new edge of skel.
+
+    The checks run one by one, in the order their messages take precedence;
+    a record that passes them all repeats an edge.
+    """
+    where = f"skeleton: edges[{idx}]"
+    if not isinstance(rec, dict):
+        raise FormatError(f"{where} must be an object")
+    for key in ("tail", "axis", "weight"):
+        if key not in rec:
+            raise FormatError(f"{where} missing field {key!r}")
+    for key in ("tail", "axis"):
+        if type(rec[key]) is not int:
+            raise FormatError(f"{where}: {key!r} must be an integer, got {rec[key]!r}")
+    e = Edge(rec["tail"], rec["axis"])
+    try:
+        skel.check_edge(e)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    raise FormatError(f"{where}: duplicate edge {tuple(e)}")
+
+
 def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if not isinstance(doc, dict):
         raise FormatError("skeleton document must be an object")
@@ -288,31 +311,18 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
         except ValueError as exc:
             raise FormatError(f"skeleton: {exc}") from exc
 
-    try:
-        for idx, rec in enumerate(edges):
-            where = f"edges[{idx}]"
-            if not isinstance(rec, dict):
-                raise FormatError(f"skeleton: {where} must be an object")
-            for key in ("tail", "axis", "weight"):
-                if key not in rec:
-                    raise FormatError(f"skeleton: {where} missing field {key!r}")
-            for key in ("tail", "axis"):
-                if type(rec[key]) is not int:
-                    raise FormatError(
-                        f"skeleton: {where}: {key!r} must be an integer, got {rec[key]!r}")
-            e = Edge(rec["tail"], rec["axis"])
-            try:
-                skel.check_edge(e)
-            except ValueError as exc:
-                raise FormatError(f"skeleton: {where}: {exc}") from exc
-            k = index[e.tail][e.axis - 1]
-            if record[k] >= 0:
-                raise FormatError(f"skeleton: {where}: duplicate edge {tuple(e)}")
-            record[k] = idx
-            rows.append(rec["weight"])
-    except FormatError:
+    for idx, rec in enumerate(edges):
+        if isinstance(rec, dict) and "tail" in rec and "axis" in rec and "weight" in rec:
+            tail, axis = rec["tail"], rec["axis"]
+            if type(tail) is int and type(axis) is int and 1 <= axis <= n \
+                    and 0 <= tail < len(index):
+                k = index[tail][axis - 1]  # -1 where tail has the axis bit
+                if k >= 0 and record[k] < 0:
+                    record[k] = idx
+                    rows.append(rec["weight"])
+                    continue
         weights()  # a bad weight in an earlier record is reported first
-        raise
+        _reject_record(skel, idx, rec)
     W = weights()
     if len(rows) != skel.num_edges:
         missing = [e for e, r in zip(skel.edges(), record) if r < 0]

@@ -4,16 +4,18 @@ These are the original loop versions of the batched checkers and of the
 groupoid layer: one 3x3 product or distance per call, driven by the
 hypercube enumerations and by loops over group elements.  The batched code
 must reproduce their results bit for bit.  The uniformity decision is kept
-as its original core test of every ordered pair of points.
+as its original core test of every ordered pair of points.  The skeleton
+reader is kept as its loop of one check after another per edge record,
+and the potential draws as one matrix per call.
 """
 import json
 
 import numpy as np
 
 from ngroupoid.analysis import FaceWitness, UniformityReport
-from ngroupoid.errors import ConstructionHalted
+from ngroupoid.errors import ConstructionHalted, FormatError
 from ngroupoid.hypercube import Edge, HypercubeSkeleton, insert_axis
-from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, identity_deviation
+from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, check_invertible, identity_deviation
 from ngroupoid.skeleton import ObjectiveSkeleton, skeleton_to_dict
 
 
@@ -95,7 +97,7 @@ def vertex_potential(T):
     phi = [None] * T.skel.num_vertices
     phi[0] = IDENTITY.copy()
     for e in bfs_tree(T.skel):
-        phi[T.skel.head(e)] = T.weight(e) @ phi[e.tail]
+        phi[e.tail | T.skel.axis_bit(e.axis)] = T.weight(e) @ phi[e.tail]
     return phi
 
 
@@ -103,7 +105,7 @@ def conservative_oracle(T, tol=DEFAULT_TOL):
     phi = vertex_potential(T)
     tree = set(bfs_tree(T.skel))
     for e in (e for e in T.skel.edges() if e not in tree):
-        predicted = phi[T.skel.head(e)] @ np.linalg.inv(phi[e.tail])
+        predicted = phi[e.tail | T.skel.axis_bit(e.axis)] @ np.linalg.inv(phi[e.tail])
         if not rel_distance(T.weight(e), predicted) <= tol:
             return False
     return True
@@ -249,7 +251,7 @@ def validate_error(T, mix):
     """Message for the first edge whose weight is no arrow of its constituent, or None."""
     for e in T.skel.edges():
         c = mix.constituent(e.axis)
-        X, Y = T.vertices[e.tail], T.vertices[T.skel.head(e)]
+        X, Y = T.vertices[e.tail], T.vertices[e.tail | T.skel.axis_bit(e.axis)]
         if not contains_arrow(c, X, Y, T.weight(e), mix.tolerance):
             return f"edge {tuple(e)}: weight is not an arrow of constituent {c.name!r}"
     return None
@@ -277,7 +279,7 @@ def build(mix, vertices):
     skel = HypercubeSkeleton(mix.n)
     W = np.empty((skel.num_edges, 3, 3))
     for k, e in enumerate(skel.edges()):
-        X, Y = vertices[e.tail], vertices[skel.head(e)]
+        X, Y = vertices[e.tail], vertices[e.tail | skel.axis_bit(e.axis)]
         arrows = mix.constituent(e.axis).arrow_set(X, Y)
         if not len(arrows):
             raise ConstructionHalted(e, e.axis, X, Y)
@@ -293,3 +295,75 @@ def identity_deviation_unscaled(m):
 def dump_skeleton(T):
     """The skeleton file text through json's own indenting encoder."""
     return json.dumps(skeleton_to_dict(T), indent=2) + "\n"
+
+
+def random_invertible(rng):
+    """One Uniform[-1,1] 3x3 matrix, redrawn until |det| > 0.1."""
+    while True:
+        m = rng.uniform(-1.0, 1.0, size=(3, 3))
+        if abs(np.linalg.det(m)) > 0.1:
+            return m
+
+
+def skeleton_from_dict(doc):
+    """The skeleton reader with every check run on its own for each edge record."""
+    if not isinstance(doc, dict):
+        raise FormatError("skeleton document must be an object")
+    for key in ("n", "vertices", "edges"):
+        if key not in doc:
+            raise FormatError(f"skeleton: missing field {key!r}")
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise FormatError(f"skeleton: 'n' must be a positive integer, got {n!r}")
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list) or len(vertices) != 2 ** n:
+        raise FormatError(
+            f"skeleton: 'vertices' must list exactly {2 ** n} labels"
+        )
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise FormatError("skeleton: 'edges' must be a list")
+    try:
+        skel = HypercubeSkeleton(n)
+    except ValueError as exc:
+        raise FormatError(f"skeleton: {exc}") from exc
+    index = skel.edge_index.tolist()
+    record = [-1] * skel.num_edges  # edge position -> record index
+    rows = []  # rows[idx] is the weight of edges[idx]
+
+    def weights():
+        try:
+            return check_invertible(rows, lambda i: f"edges[{i}]: weight")
+        except ValueError as exc:
+            raise FormatError(f"skeleton: {exc}") from exc
+
+    try:
+        for idx, rec in enumerate(edges):
+            where = f"edges[{idx}]"
+            if not isinstance(rec, dict):
+                raise FormatError(f"skeleton: {where} must be an object")
+            for key in ("tail", "axis", "weight"):
+                if key not in rec:
+                    raise FormatError(f"skeleton: {where} missing field {key!r}")
+            for key in ("tail", "axis"):
+                if type(rec[key]) is not int:
+                    raise FormatError(
+                        f"skeleton: {where}: {key!r} must be an integer, got {rec[key]!r}")
+            e = Edge(rec["tail"], rec["axis"])
+            try:
+                skel.check_edge(e)
+            except ValueError as exc:
+                raise FormatError(f"skeleton: {where}: {exc}") from exc
+            k = index[e.tail][e.axis - 1]
+            if record[k] >= 0:
+                raise FormatError(f"skeleton: {where}: duplicate edge {tuple(e)}")
+            record[k] = idx
+            rows.append(rec["weight"])
+    except FormatError:
+        weights()  # a bad weight in an earlier record is reported first
+        raise
+    W = weights()
+    if len(rows) != skel.num_edges:
+        missing = [e for e, r in zip(skel.edges(), record) if r < 0]
+        raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
+    return ObjectiveSkeleton(n, vertices, W[record])

@@ -12,7 +12,6 @@ from ngroupoid.analysis import (
     is_uniform,
     path_weight,
     perturb_edge,
-    random_circuit,
     random_composable_chain,
     random_conservative,
     skeleton_from_potential,
@@ -154,16 +153,6 @@ def test_exhaustive_cycles_identity_at_n3():
     for cycle in T.skel.simple_cycles():
         w = path_weight(T, circuit_steps(T.skel, cycle))
         assert identity_deviation(w) < 1e-8
-
-
-def test_random_circuits_identity():
-    rng = np.random.default_rng(17)
-    for n in (4, 5):
-        T = random_conservative(n, seed=n)
-        for _ in range(100):
-            seq = random_circuit(T.skel, rng)
-            w = path_weight(T, seq)
-            assert identity_deviation(w) < 1e-8
 
 
 def test_path_independence_under_conservativity():

@@ -7,8 +7,12 @@ The groupoid layer (arrow sets, membership, cores, group validation and
 validate_against) is compared the same way over the fixture mixtures and
 random mixtures over the 24-element cube rotation group, and the orbit
 sweep of is_uniform with the core test of every ordered pair.  The skeleton
-file writer is compared with json.dumps(indent=2) by exact string equality.
+file writer is compared with json.dumps(indent=2) by exact string equality,
+the skeleton reader with its check-by-check loop on malformed records by
+exact error text, and the batched potential draws with drawing one matrix
+at a time.
 """
+import collections
 import itertools
 import pathlib
 
@@ -28,7 +32,12 @@ from ngroupoid.analysis import (
     random_composable_chain,
     random_conservative,
 )
-from ngroupoid.errors import CompositionError, ConstructionHalted, GroupValidationError
+from ngroupoid.errors import (
+    CompositionError,
+    ConstructionHalted,
+    FormatError,
+    GroupValidationError,
+)
 from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.hypercube import HypercubeSkeleton
 from ngroupoid.matrices import DEFAULT_TOL as TOL
@@ -47,6 +56,8 @@ from ngroupoid.skeleton import (
     compose,
     dump_skeleton,
     inverse_axis,
+    skeleton_from_dict,
+    skeleton_to_dict,
     source_facet,
     target_facet,
     unit_skeleton,
@@ -199,7 +210,7 @@ def random_mixture(seed, n=3, points=4, tolerance=TOL, implant=None, groups=(CUB
     rng = np.random.default_rng(seed)
     base = tuple(f"P{i}" for i in range(points))
     groups = [SymmetryGroup(g) for g in groups]
-    K = {p: random_invertible(rng) if implant is None else implant(p) for p in base}
+    K = {p: random_invertible(rng, 1)[0] if implant is None else implant(p) for p in base}
     constituents = []
     for i in range(n):
         implants = {}
@@ -404,7 +415,7 @@ def counted_core(monkeypatch):
 def test_uniform_mixture_costs_one_core_test_per_point(monkeypatch):
     rng = np.random.default_rng(4)
     base = tuple(f"P{i}" for i in range(8))
-    K = {p: random_invertible(rng) for p in base}
+    K = {p: random_invertible(rng, 1)[0] for p in base}
     group = SymmetryGroup(CUBE)
     mix = MixtureSpec(3, base, tuple(
         ConstituentGroupoid(f"c{i}", base, {p: K[p] @ CUBE[rng.integers(24)] for p in base}, group)
@@ -523,3 +534,81 @@ def test_dump_skeleton_extreme_weights_match_json():
     assert text == ref.dump_skeleton(T)
     for x in entries:
         assert f"        {x!r}," in text
+
+
+# -- skeleton reader and potential draws ----------------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [1, 3, 6, 10, 12])
+def test_random_invertible_matches_drawing_one_at_a_time(n, seed):
+    batch_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = random_invertible(batch_rng, 1 << n)
+    loop = np.array([ref.random_invertible(loop_rng) for _ in range(1 << n)])
+    assert batch.shape == (1 << n, 3, 3)
+    assert np.array_equal(batch, loop)
+    assert batch_rng.integers(2**63) == loop_rng.integers(2**63)
+
+
+class RecordDict(dict):
+    """A dict subclass as an edge record."""
+
+
+def _set(rec, **fields):
+    rec.update(fields)
+
+
+# each case edits the edges of a 3-skeleton's document in place; all but
+# the ACCEPTED ones make it malformed
+ACCEPTED = {"valid", "reordered", "dict subclass"}
+RECORD_CASES = {
+    "valid": lambda e: None,
+    "reordered": lambda e: e.reverse(),
+    "list record": lambda e: e.__setitem__(2, [e[2]["tail"], e[2]["axis"], e[2]["weight"]]),
+    "null record": lambda e: e.__setitem__(5, None),
+    "dict subclass": lambda e: e.__setitem__(2, RecordDict(e[2])),
+    "defaultdict without weight": lambda e: e.__setitem__(
+        2, collections.defaultdict(list, tail=e[2]["tail"], axis=e[2]["axis"])),
+    "missing tail": lambda e: e[2].pop("tail"),
+    "missing axis": lambda e: e[2].pop("axis"),
+    "missing weight": lambda e: e[2].pop("weight"),
+    "bool tail": lambda e: _set(e[2], tail=False),
+    "bool axis": lambda e: _set(e[2], axis=True),
+    "float tail": lambda e: _set(e[2], tail=0.0),
+    "float axis": lambda e: _set(e[2], axis=2.0),
+    "string axis": lambda e: _set(e[2], axis="2"),
+    "huge tail": lambda e: _set(e[2], tail=10**30),
+    "huge axis": lambda e: _set(e[2], axis=10**30),
+    "negative tail": lambda e: _set(e[2], tail=-1),
+    "negative tail, bit clear from the end": lambda e: _set(e[2], tail=-2, axis=3),
+    "axis 0": lambda e: _set(e[2], axis=0),
+    "axis above n": lambda e: _set(e[2], axis=4),
+    "tail and axis out of range": lambda e: _set(e[2], tail=8, axis=4),
+    "tail out of range": lambda e: _set(e[2], tail=8),
+    "tail with its axis bit": lambda e: _set(e[2], tail=4, axis=1),
+    "duplicate appended": lambda e: e.append(dict(e[0])),
+    "duplicate in place": lambda e: e.__setitem__(3, dict(e[0])),
+    "bad weight before a fault": lambda e: (_set(e[1], weight=[0.0] * 9), _set(e[3], axis=9)),
+    "short weight before a fault": lambda e: (_set(e[1], weight=[1.0] * 8), e.append(dict(e[0]))),
+    "bad weight after a fault": lambda e: (_set(e[1], axis=9), _set(e[3], weight=[0.0] * 9)),
+    "bad weight at the fault": lambda e: _set(e[2], tail=4, axis=1, weight=[0.0] * 9),
+    "bad weight, no fault": lambda e: _set(e[4], weight=[1.0] * 9),
+    "first edge missing": lambda e: e.pop(0),
+    "last edge missing": lambda e: e.pop(),
+    "no edges": lambda e: e.clear(),
+}
+
+
+def _read(reader, doc):
+    try:
+        return reader(doc)
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_reader_matches_reference_on_edge_records(case):
+    doc = skeleton_to_dict(random_conservative(3, seed=3))
+    RECORD_CASES[case](doc["edges"])
+    got, want = _read(skeleton_from_dict, doc), _read(ref.skeleton_from_dict, doc)
+    assert got == want
+    assert isinstance(got, str) == (case not in ACCEPTED)

@@ -82,7 +82,7 @@ def test_degrees():
         in_deg = {v: 0 for v in skel.vertices}
         for e in skel.edges():
             out_deg[e.tail] += 1
-            in_deg[skel.head(e)] += 1
+            in_deg[e.tail | skel.axis_bit(e.axis)] += 1
         assert sum(out_deg.values()) == n * 2 ** (n - 1)
         assert in_deg[0] == 0
         for v in skel.vertices:
@@ -135,7 +135,7 @@ def test_spanning_tree_discovery_order():
         seen = {0}
         for e in skel.spanning_tree():
             assert e.tail in seen
-            head = skel.head(e)
+            head = e.tail | skel.axis_bit(e.axis)
             assert head not in seen
             seen.add(head)
         assert seen == set(skel.vertices)
@@ -181,7 +181,7 @@ def test_facets_split_the_cube_and_keep_adjacency(n, data):
     assert sorted(rows0.tolist() + rows1.tolist()) == off_axis.tolist()
     # facet edge k joins the images of its endpoints in the (n-1)-cube
     tails, heads = skel.edge_arrays[0], skel.edge_heads
-    assert heads.tolist() == [skel.head(e) for e in skel.edges()]
+    assert heads.tolist() == [e.tail | axis_bit(n, e.axis) for e in skel.edges()]
     for verts, rows in ((v0, rows0), (v1, rows1)):
         assert tails[rows].tolist() == verts[sub.edge_arrays[0]].tolist()
         assert heads[rows].tolist() == verts[sub.edge_heads].tolist()
