@@ -9,7 +9,6 @@ the same property: all circuit weights are the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -130,28 +129,17 @@ def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
 
 # -- generators ---------------------------------------------------------------
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def skeleton_from_potential(n: int, phi: Sequence[np.ndarray],
-                            vertices: Sequence[Label] | None = None
-                            ) -> ObjectiveSkeleton:
+                            vertices: Sequence[Label]) -> ObjectiveSkeleton:
     """Skeleton with edge weights phi[head] @ inv(phi[tail]); conservative."""
     skel = HypercubeSkeleton(n)
-    if vertices is None:
-        vertices = range(skel.num_vertices)
     phi = np.asarray(phi, dtype=float)
     W = phi[skel.edge_heads] @ np.linalg.inv(phi)[skel.edge_arrays[0]]
     return ObjectiveSkeleton(n, vertices, W)
 
 
-def random_conservative(n: int, seed=None,
-                        vertices: Sequence[Label] | None = None
-                        ) -> ObjectiveSkeleton:
-    """Random conservative skeleton: potential differences as weights.
+def random_conservative(n: int, seed=None) -> ObjectiveSkeleton:
+    """Random conservative skeleton on labels 0 .. 2**n - 1: potential differences as weights.
 
     Potential entries are uniform in [-1, 1], resampled until |det| > 0.1.
     Deterministic per seed (PCG64 behind numpy's default_rng); ``seed`` may
@@ -159,8 +147,8 @@ def random_conservative(n: int, seed=None,
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = _as_rng(seed)
-    return skeleton_from_potential(n, random_invertible(rng, 1 << n), vertices)
+    phi = random_invertible(np.random.default_rng(seed), 1 << n)
+    return skeleton_from_potential(n, phi, range(1 << n))
 
 
 def perturb_edge(T: ObjectiveSkeleton, seed=None
@@ -170,15 +158,14 @@ def perturb_edge(T: ObjectiveSkeleton, seed=None
     For n >= 2 this breaks commutativity of exactly the faces incident to
     the chosen edge.
     """
-    rng = _as_rng(seed)
-    k = int(rng.integers(T.skel.num_edges))
+    k = int(np.random.default_rng(seed).integers(T.skel.num_edges))
     W = T.W.copy()
     W[k] = PERTURBATION @ W[k]
     tails, axes = T.skel.edge_arrays
     return ObjectiveSkeleton(T.n, T.vertices, W), Edge(int(tails[k]), int(axes[k]))
 
 
-def _window(n: int, grid: dict[tuple[int, ...], np.ndarray],
+def _window(n: int, grid: np.ndarray,
             offsets: dict[int, int]) -> tuple[list[np.ndarray], list[str]]:
     """Potential and labels of one grid cell, shifted by per-axis offsets."""
     coords = [
@@ -188,11 +175,11 @@ def _window(n: int, grid: dict[tuple[int, ...], np.ndarray],
     return [grid[c] for c in coords], ["p" + "_".join(map(str, c)) for c in coords]
 
 
-def _grid_potential(n: int, spans: dict[int, int],
-                    rng: np.random.Generator) -> dict[tuple[int, ...], np.ndarray]:
+def _grid_potential(n: int, spans: dict[int, int], seed) -> np.ndarray:
     # spans[axis] = number of stacked cells along that axis (default 1)
-    cells = list(product(*(range(spans.get(a, 1) + 1) for a in range(1, n + 1))))
-    return dict(zip(cells, random_invertible(rng, len(cells))))
+    shape = [spans.get(a, 1) + 1 for a in range(1, n + 1)]
+    cells = random_invertible(np.random.default_rng(seed), int(np.prod(shape)))
+    return cells.reshape(*shape, 3, 3)
 
 
 def random_composable_chain(n: int, axis: int, count: int, seed=None
@@ -203,8 +190,7 @@ def random_composable_chain(n: int, axis: int, count: int, seed=None
     conservative and consecutive facets match bit-for-bit:
     compose(chain[k+1], chain[k], axis) is always defined.
     """
-    rng = _as_rng(seed)
-    phi = _grid_potential(n, {axis: count}, rng)
+    phi = _grid_potential(n, {axis: count}, seed)
     return [
         skeleton_from_potential(n, *_window(n, phi, {axis: k})) for k in range(count)
     ]
@@ -220,8 +206,7 @@ def random_interchange_quadruple(n: int, axis_i: int, axis_j: int, seed=None
     """
     if axis_i == axis_j:
         raise ValueError("need two distinct axes")
-    rng = _as_rng(seed)
-    phi = _grid_potential(n, {axis_i: 2, axis_j: 2}, rng)
+    phi = _grid_potential(n, {axis_i: 2, axis_j: 2}, seed)
     place = lambda a, b: skeleton_from_potential(n, *_window(n, phi, {axis_i: a, axis_j: b}))
     return place(1, 1), place(0, 1), place(1, 0), place(0, 0)
 
@@ -233,7 +218,7 @@ def theorem_sweep(n: int, trials: int, seed=None, tol: float = DEFAULT_TOL
     Returns agreement counts per population and the maximum face deviation
     observed on the conservative instances.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     agree = {"conservative": 0, "perturbed": 0}
     max_dev = 0.0
     for kind in ("conservative", "perturbed"):

@@ -37,6 +37,14 @@ def tolerance(text: str) -> float:
     return check_tolerance(float(text))
 
 
+def seed(text: str) -> int:
+    """argparse type of every --seed flag: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _write_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
@@ -60,8 +68,9 @@ def cmd_skeleton(args) -> int:
         print(count_faces(n, args.h))
         return EXIT_OK
     skel = HypercubeSkeleton(n)
+    # count_faces excludes the whole cube, but the 2-cube is its own one square
     print(f"vertices: {skel.num_vertices}, edges: {skel.num_edges}"
-          + (f", 2-faces: {len(skel.squares[0])}" if n >= 2 else ""))
+          + (f", 2-faces: {count_faces(n, 2) if n > 2 else 1}" if n >= 2 else ""))
     print(
         "h-face counts: "
         + ", ".join(f"h={h}: {count_faces(n, h)}" for h in range(n))
@@ -220,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--mode", choices=("conservative", "perturbed"),
                    default="conservative")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--out", default=None, help="output path (default stdout)")
     g.set_defaults(func=cmd_generate)
 
@@ -228,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep both conservativity checkers for agreement")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=seed, default=0)
     v.add_argument("--tol", type=tolerance, default=None)
     v.set_defaults(func=cmd_verify_theorem)
 

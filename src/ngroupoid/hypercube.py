@@ -61,14 +61,6 @@ def count_faces(n: int, h: int) -> int:
     return 2 ** (n - h) * math.comb(n, h)
 
 
-def insert_axis(n: int, vertex: int, axis: int, bit: int) -> int:
-    """The n-cube vertex with ``bit`` on ``axis`` and (n-1)-cube ``vertex`` on the rest."""
-    low_width = n - axis
-    low = vertex & ((1 << low_width) - 1)
-    high = vertex >> low_width
-    return (high << (low_width + 1)) | (bit << low_width) | low
-
-
 class HypercubeSkeleton:
     """Vertices, oriented classed edges, and faces of the n-cube skeleton.
 
@@ -142,11 +134,10 @@ class HypercubeSkeleton:
         """The facet where ``axis`` is ``bit``, in the (n-1)-cube's numbering: the
         n-cube vertex of each facet vertex and the edge row of each facet edge.
         """
-        self.axis_bit(axis)  # validates the axis
-        sub = HypercubeSkeleton(self.n - 1)
-        vertices = insert_axis(self.n, np.arange(sub.num_vertices), axis, bit)
-        tails, axes = sub.edge_arrays
-        return vertices, self.edge_index[vertices[tails], axes - (axes < axis)]
+        # dropping one bit keeps vertex order, and dropping one axis (tail, axis) order
+        on = (np.arange(self.num_vertices) & self.axis_bit(axis) != 0) == bit
+        tails, axes = self.edge_arrays
+        return np.flatnonzero(on), np.flatnonzero(on[tails] & (axes != axis))
 
     def check_edge(self, edge: Edge) -> None:
         if not 1 <= edge.axis <= self.n:

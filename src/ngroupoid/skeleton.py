@@ -289,18 +289,17 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise FormatError(f"skeleton: 'n' must be a positive integer, got {n!r}")
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list) or len(vertices) != 2 ** n:
-        raise FormatError(
-            f"skeleton: 'vertices' must list exactly {2 ** n} labels"
-        )
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise FormatError("skeleton: 'edges' must be a list")
     try:
         skel = HypercubeSkeleton(n)
     except ValueError as exc:
         raise FormatError(f"skeleton: {exc}") from exc
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list) or len(vertices) != skel.num_vertices:
+        raise FormatError(f"skeleton: 'vertices' must list exactly "
+                          f"{skel.num_vertices} labels")
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise FormatError("skeleton: 'edges' must be a list")
     index = skel.edge_index.tolist()
     record = [-1] * skel.num_edges  # edge position -> record index
     rows: list = []  # rows[idx] is the weight of edges[idx]

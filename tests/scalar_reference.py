@@ -14,9 +14,17 @@ import numpy as np
 
 from ngroupoid.analysis import FaceWitness, UniformityReport
 from ngroupoid.errors import ConstructionHalted, FormatError
-from ngroupoid.hypercube import Edge, HypercubeSkeleton, insert_axis
+from ngroupoid.hypercube import Edge, HypercubeSkeleton
 from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, check_invertible, identity_deviation
 from ngroupoid.skeleton import ObjectiveSkeleton, skeleton_to_dict
+
+
+def insert_axis(n, vertex, axis, bit):
+    """The n-cube vertex with ``bit`` on ``axis`` and (n-1)-cube ``vertex`` on the rest."""
+    low_width = n - axis
+    low = vertex & ((1 << low_width) - 1)
+    high = vertex >> low_width
+    return (high << (low_width + 1)) | (bit << low_width) | low
 
 
 def rel_distance(a, b):
@@ -315,18 +323,18 @@ def skeleton_from_dict(doc):
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise FormatError(f"skeleton: 'n' must be a positive integer, got {n!r}")
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list) or len(vertices) != 2 ** n:
-        raise FormatError(
-            f"skeleton: 'vertices' must list exactly {2 ** n} labels"
-        )
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise FormatError("skeleton: 'edges' must be a list")
     try:
         skel = HypercubeSkeleton(n)
     except ValueError as exc:
         raise FormatError(f"skeleton: {exc}") from exc
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list) or len(vertices) != skel.num_vertices:
+        raise FormatError(
+            f"skeleton: 'vertices' must list exactly {skel.num_vertices} labels"
+        )
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise FormatError("skeleton: 'edges' must be a list")
     index = skel.edge_index.tolist()
     record = [-1] * skel.num_edges  # edge position -> record index
     rows = []  # rows[idx] is the weight of edges[idx]

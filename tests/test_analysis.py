@@ -125,8 +125,8 @@ def test_perturbed_witnesses_are_the_incident_faces(n):
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1, True])
 def test_library_rejects_bad_tolerance(tol):
-    T = random_conservative(3, seed=1, vertices=["X"] * 8)
-    other = random_conservative(3, seed=2, vertices=["X"] * 8)
+    T = ObjectiveSkeleton(3, ["X"] * 8, random_conservative(3, seed=1).W)
+    other = ObjectiveSkeleton(3, ["X"] * 8, random_conservative(3, seed=2).W)
     calls = [
         lambda: is_conservative(T, tol),
         lambda: conservative_oracle(T, tol),
@@ -192,7 +192,7 @@ def test_random_conservative_rejects_bad_n():
 
 
 def test_identity_potential_gives_all_units():
-    T = skeleton_from_potential(2, [np.eye(3)] * 4)
+    T = skeleton_from_potential(2, [np.eye(3)] * 4, range(4))
     for e in T.skel.edges():
         assert np.allclose(T.weight(e), np.eye(3))
 

@@ -519,7 +519,7 @@ LABELS = [
 
 @pytest.mark.parametrize("labels", LABELS, ids=["ints", "floats", "nested", "escaped"])
 def test_dump_skeleton_labels_match_json(labels):
-    T = random_conservative(2, seed=5, vertices=labels)
+    T = ObjectiveSkeleton(2, labels, random_conservative(2, seed=5).W)
     assert dump_skeleton(T) == ref.dump_skeleton(T)
 
 

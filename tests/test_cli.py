@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ngroupoid
 from ngroupoid import analysis
 from ngroupoid.hypercube import MAX_DIMENSION
 from ngroupoid.mixture import load_mixture
@@ -453,3 +458,33 @@ def test_shared_bad_group_names_its_first_constituent(run_cli, tmp_path, data_di
     assert run_cli("uniformity", path) == (2, "")
     assert capsys.readouterr().err == (
         "error: constituent[0] (alpha): group not closed under inverse\n")
+
+
+# (verb arguments, skeleton file bytes or None, text the error line must hold);
+# the file, when there is one, is the last argument, and {path} stands for it
+BAD_INPUTS = [
+    (("check",), b"\xff\xfe{}", "{path}: 'utf-8' codec can't decode byte 0xff"),
+    (("check",), b"[" * 200_000 + b"]" * 200_000, "{path}: maximum recursion depth exceeded"),
+    (("check",), b'{"n": 14286, "vertices": [], "edges": []}', "dimension must lie in 0..12"),
+    (("generate", "--n", "2", "--seed", "-1"), None, "invalid seed value: '-1'"),
+    (("verify-theorem", "--n", "2", "--trials", "1", "--seed", "-5"), None,
+     "invalid seed value: '-5'"),
+]
+
+
+@pytest.mark.parametrize("argv, content, message", BAD_INPUTS,
+                         ids=["not-utf8", "deep-nesting", "huge-n", "generate-seed",
+                              "verify-seed"])
+def test_bad_input_exits_2_without_a_traceback(tmp_path, argv, content, message):
+    # a subprocess, because only the interpreter's own exit shows an uncaught exception
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_bytes(content)
+        argv = (*argv, str(path))
+    src = str(pathlib.Path(ngroupoid.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "ngroupoid", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert proc.returncode == 2, proc.stderr
+    assert len(errors) == 1 and message.format(path=path) in errors[0], proc.stderr

@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scalar_reference import insert_axis
 
 from ngroupoid.hypercube import (
     MAX_DIMENSION,
     HypercubeSkeleton,
     axis_bit,
     count_faces,
-    insert_axis,
 )
 
 
@@ -93,6 +93,20 @@ def facet_pair(n, axis):
     """Vertices of the facets at bit 0 and bit 1 of an axis, as the skeleton verb lists them."""
     half = np.arange(2 ** (n - 1))
     return tuple(insert_axis(n, half, axis, bit).tolist() for bit in (0, 1))
+
+
+def test_facet_matches_insert_axis():
+    # facet() reads the n-cube's own tables; the oracle places each (n-1)-cube
+    # vertex and edge by inserting the axis bit
+    for n in range(1, MAX_DIMENSION + 1):
+        skel, sub = HypercubeSkeleton(n), HypercubeSkeleton(n - 1)
+        tails, axes = sub.edge_arrays
+        for axis, bit in itertools.product(range(1, n + 1), (0, 1)):
+            vertices, rows = skel.facet(axis, bit)
+            expected = insert_axis(n, np.arange(sub.num_vertices), axis, bit)
+            assert vertices.tolist() == expected.tolist()
+            big_axes = axes + (axes >= axis)
+            assert rows.tolist() == skel.edge_index[expected[tails], big_axes - 1].tolist()
 
 
 def test_facet_pair_examples():

@@ -111,7 +111,7 @@ def test_validate_against_rejects_foreign_arrow():
 
 def test_validate_against_dimension_mismatch():
     mix = one_constituent_mixture()
-    T = random_conservative(2, seed=0, vertices=("X", "X", "X", "X"))
+    T = ObjectiveSkeleton(2, ("X", "X", "X", "X"), random_conservative(2, seed=0).W)
     with pytest.raises(ValueError, match="dimension"):
         T.validate_against(mix)
 
@@ -258,7 +258,7 @@ def test_roundtrip_exact():
 
 
 def test_roundtrip_through_file(tmp_path):
-    T = random_conservative(2, seed=99, vertices=("a", "b", "a", "b"))
+    T = ObjectiveSkeleton(2, ("a", "b", "a", "b"), random_conservative(2, seed=99).W)
     path = tmp_path / "skel.json"
     save_skeleton(T, str(path))
     assert load_skeleton(str(path)) == T
