@@ -104,7 +104,7 @@ def is_conservative(T: ObjectiveSkeleton,
 
 
 def _potential(T: ObjectiveSkeleton) -> np.ndarray:
-    # Along HypercubeSkeleton.spanning_tree(): v hangs off v minus its highest
+    # Along the breadth-first spanning tree: v hangs off v minus its highest
     # set bit j, so phi is filled in blocks [2**j, 2**(j+1)) by increasing j.
     phi = np.empty((T.skel.num_vertices, 3, 3))
     phi[0] = IDENTITY
@@ -318,5 +318,5 @@ def is_uniform(mix: MixtureSpec) -> UniformityReport:
         (x, y) for x in points for y in points
         if x not in orbit or orbit[x] != orbit.get(y)
     ]
-    transitivity = {c.name: c.is_transitive() for c in mix.constituents}
+    transitivity = {c.name: all(p in c.implants for p in points) for c in mix.constituents}
     return UniformityReport(verdict, x0, defects, transitivity)

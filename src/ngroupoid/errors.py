@@ -55,5 +55,5 @@ def read_json(path: str) -> object:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or too deep
         raise FormatError(f"{path}: {exc}") from exc

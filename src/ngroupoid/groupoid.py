@@ -9,8 +9,9 @@ its archetype.  Every arrow set is then the finite coset
 
 which is empty as soon as either implant is missing.  Since g -> K(Y) g
 inv(K(X)) is injective, a nonempty arrow set holds exactly |G| arrows, one
-float64 stack of shape (|G|, 3, 3) in group order.  Tolerance enters only
-where arrows are compared, never where a set is built.
+float64 stack of shape (|G|, 3, 3) in group order.  A constituent holds
+neither the point set nor a tolerance; both belong to the mixture, which
+checks labels and compares arrows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, GroupValidationError, UnknownBasePointError
+from .errors import FormatError, GroupValidationError
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
@@ -117,33 +118,20 @@ class ConstituentGroupoid:
     """One constituent's material groupoid, given by implants and symmetries.
 
     ``implants`` maps a point label to the transplant matrix from the
-    archetype; points absent from the map have empty arrow sets.  A
-    constituent holds no tolerance: membership in its arrow sets is decided
-    with the tolerance of the mixture it belongs to.
+    archetype; labels absent from the map have empty arrow sets.  The
+    mixture it belongs to checks the labels against its base points and
+    decides membership in the arrow sets with its tolerance.
     """
 
     name: str
-    base: tuple[Label, ...]
     implants: dict[Label, np.ndarray]
     group: SymmetryGroup
 
     def __post_init__(self):
-        self.base = tuple(self.base)
-        bad = [p for p in self.implants if p not in self.base]
-        if bad:
-            raise UnknownBasePointError(
-                f"constituent {self.name!r}: implants at undeclared points {bad!r}"
-            )
         points = list(self.implants)
         K = check_invertible(list(self.implants.values()),
                              lambda i: f"implant at {points[i]!r}")
         self.implants = dict(zip(points, K))
-
-    def _check_point(self, p: Label) -> None:
-        if p not in self.base:
-            raise UnknownBasePointError(
-                f"point {p!r} not in base of constituent {self.name!r}"
-            )
 
     def arrow_set(self, X: Label, Y: Label) -> np.ndarray:
         """The coset P_XY as a read-only (|G|, 3, 3) stack, in group order.
@@ -151,8 +139,6 @@ class ConstituentGroupoid:
         Empty, of shape (0, 3, 3), when either implant is missing.  A singular
         or non-finite arrow raises FormatError.
         """
-        self._check_point(X)
-        self._check_point(Y)
         kx = self.implants.get(X)
         ky = self.implants.get(Y)
         if kx is None or ky is None:
@@ -163,12 +149,3 @@ class ConstituentGroupoid:
             raise FormatError(f"constituent {self.name!r}: arrow {X!r} -> {Y!r} {bad[1]}")
         A.flags.writeable = False
         return A
-
-    def is_transitive(self) -> bool:
-        """True iff every ordered pair has a nonempty arrow set.
-
-        Equivalent to the implant map being total.
-        """
-        if not self.base:
-            raise ValueError(f"constituent {self.name!r} has an empty base")
-        return all(p in self.implants for p in self.base)

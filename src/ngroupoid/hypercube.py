@@ -184,15 +184,7 @@ class HypercubeSkeleton:
                 out.append(Face(free, tuple(zip(fixed_axes, bits))))
         return out
 
-    # -- spanning tree and cycles ---------------------------------------------
-
-    def spanning_tree(self) -> tuple[Edge, ...]:
-        """Spanning tree rooted at vertex 0, listed so each vertex follows its parent.
-
-        A vertex hangs off the vertex with its highest set bit cleared: the
-        breadth-first tree visiting vertices and axes in ascending order.
-        """
-        return tuple(Edge(t, self.n - j) for j in range(self.n) for t in range(1 << j))
+    # -- cycles ----------------------------------------------------------------
 
     def simple_cycles(self) -> list[tuple[int, ...]]:
         """Every simple cycle as a vertex tuple (first vertex not repeated).

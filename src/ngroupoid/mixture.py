@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, GroupValidationError, UnknownBasePointError, read_json
+from .errors import FormatError, GroupValidationError, read_json
 from .groupoid import ConstituentGroupoid, Label, SymmetryGroup
 from .matrices import DEFAULT_TOL, check_tolerance
 
@@ -49,10 +49,9 @@ class MixtureSpec:
         if len(set(names)) != len(names):
             raise FormatError("duplicate constituent names")
         for c in self.constituents:
-            if tuple(c.base) != self.base_points:
-                raise FormatError(
-                    f"constituent {c.name!r} base differs from the mixture base"
-                )
+            bad = [p for p in c.implants if p not in self.base_points]
+            if bad:
+                raise FormatError(f"constituent {c.name!r}: implants at undeclared points {bad!r}")
 
     def constituent(self, axis: int) -> ConstituentGroupoid:
         """Constituent supplying class-``axis`` edges (1-based)."""
@@ -105,10 +104,8 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
         if not isinstance(implants_raw, dict):
             raise FormatError(f"{where}: field 'implants' must be an object")
         try:
-            constituents.append(ConstituentGroupoid(
-                name=name, base=tuple(points), implants=implants_raw,
-                group=groups[key]))
-        except (ValueError, UnknownBasePointError) as exc:
+            constituents.append(ConstituentGroupoid(name, implants_raw, groups[key]))
+        except ValueError as exc:
             raise FormatError(f"{where} ({name}): {exc}") from exc
 
     return MixtureSpec(n=n, base_points=tuple(points), constituents=tuple(constituents),

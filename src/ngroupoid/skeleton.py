@@ -13,9 +13,10 @@ from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .errors import CompositionError, ConstructionHalted, FormatError, read_json
+from .errors import (CompositionError, ConstructionHalted, FormatError,
+                     UnknownBasePointError, read_json)
 from .groupoid import Label
-from .hypercube import Edge, HypercubeSkeleton
+from .hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
@@ -118,10 +119,14 @@ def build(mix: MixtureSpec, vertices: Iterable[Label]) -> ObjectiveSkeleton:
     """Construct the objective skeleton over a vertex tuple of base points.
 
     Each edge carries the first arrow of its arrow set, the one from the
-    first symmetry-group element.  Raises ConstructionHalted for the first
-    edge with an empty arrow set: no skeleton exists over this tuple.
+    first symmetry-group element.  A label outside the mixture base raises
+    UnknownBasePointError; the first edge with an empty arrow set raises
+    ConstructionHalted: no skeleton exists over this tuple.
     """
     vertices = tuple(vertices)
+    for p in vertices:
+        if p not in mix.base_points:
+            raise UnknownBasePointError(f"point {p!r} not in the mixture base")
     skel = HypercubeSkeleton(mix.n)
     W = np.empty((skel.num_edges, 3, 3))
     for (a, X, Y), rows in _arrow_groups(skel, vertices).items():
@@ -287,12 +292,9 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
         if key not in doc:
             raise FormatError(f"skeleton: missing field {key!r}")
     n = doc["n"]
-    if type(n) is not int or n < 1:
-        raise FormatError(f"skeleton: 'n' must be a positive integer, got {n!r}")
-    try:
-        skel = HypercubeSkeleton(n)
-    except ValueError as exc:
-        raise FormatError(f"skeleton: {exc}") from exc
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
+        raise FormatError(f"skeleton: 'n' must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
+    skel = HypercubeSkeleton(n)
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or len(vertices) != skel.num_vertices:
         raise FormatError(f"skeleton: 'vertices' must list exactly "

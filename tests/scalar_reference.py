@@ -14,7 +14,7 @@ import numpy as np
 
 from ngroupoid.analysis import FaceWitness, UniformityReport
 from ngroupoid.errors import ConstructionHalted, FormatError
-from ngroupoid.hypercube import Edge, HypercubeSkeleton
+from ngroupoid.hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
 from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, check_invertible, identity_deviation
 from ngroupoid.skeleton import ObjectiveSkeleton, skeleton_to_dict
 
@@ -251,7 +251,7 @@ def is_uniform(mix, core=core_arrows):
         all(nonempty[x0, y] for y in points),
         x0,
         [(x, y) for x in points for y in points if not nonempty[x, y]],
-        {c.name: c.is_transitive() for c in mix.constituents},
+        {c.name: all(p in c.implants for p in points) for c in mix.constituents},
     )
 
 
@@ -321,12 +321,9 @@ def skeleton_from_dict(doc):
         if key not in doc:
             raise FormatError(f"skeleton: missing field {key!r}")
     n = doc["n"]
-    if type(n) is not int or n < 1:
-        raise FormatError(f"skeleton: 'n' must be a positive integer, got {n!r}")
-    try:
-        skel = HypercubeSkeleton(n)
-    except ValueError as exc:
-        raise FormatError(f"skeleton: {exc}") from exc
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
+        raise FormatError(f"skeleton: 'n' must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
+    skel = HypercubeSkeleton(n)
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or len(vertices) != skel.num_vertices:
         raise FormatError(

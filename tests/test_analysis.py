@@ -295,12 +295,12 @@ def test_single_constituent_reduction():
             {"name": "solo", "symmetry": "trivial", "implants": {"X": I9, "Y": I9}}
         ],
     }
-    mix = mixture_from_dict(doc)
-    assert is_uniform(mix).verdict == mix.constituents[0].is_transitive()
+    rep = is_uniform(mixture_from_dict(doc))
+    assert rep.verdict == rep.constituent_transitivity["solo"] == True
 
     doc["constituents"][0]["implants"] = {"X": I9}
-    mix2 = mixture_from_dict(doc)
-    assert is_uniform(mix2).verdict == mix2.constituents[0].is_transitive() == False
+    rep2 = is_uniform(mixture_from_dict(doc))
+    assert rep2.verdict == rep2.constituent_transitivity["solo"] == False
 
 
 def test_uniformity_report_serialization(data_dir):

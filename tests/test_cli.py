@@ -460,21 +460,37 @@ def test_shared_bad_group_names_its_first_constituent(run_cli, tmp_path, data_di
         "error: constituent[0] (alpha): group not closed under inverse\n")
 
 
-# (verb arguments, skeleton file bytes or None, text the error line must hold);
+def test_undeclared_implant_names_constituent_and_point(run_cli, tmp_path, data_dir, capsys):
+    doc = json.loads((data_dir / "mixture_identical.json").read_text())
+    doc["constituents"][1]["implants"]["Q"] = doc["constituents"][1]["implants"]["X"]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("uniformity", path) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: constituent 'beta': implants at undeclared points ['Q']\n")
+
+
+# (verb arguments, input file bytes or None, text the error line must hold);
 # the file, when there is one, is the last argument, and {path} stands for it
 BAD_INPUTS = [
     (("check",), b"\xff\xfe{}", "{path}: 'utf-8' codec can't decode byte 0xff"),
     (("check",), b"[" * 200_000 + b"]" * 200_000, "{path}: maximum recursion depth exceeded"),
-    (("check",), b'{"n": 14286, "vertices": [], "edges": []}', "dimension must lie in 0..12"),
+    (("check",), b'{"n": 14286, "vertices": [], "edges": []}',
+     "skeleton: 'n' must be an integer in 1..12, got 14286"),
     (("generate", "--n", "2", "--seed", "-1"), None, "invalid seed value: '-1'"),
     (("verify-theorem", "--n", "2", "--trials", "1", "--seed", "-5"), None,
      "invalid seed value: '-5'"),
+    (("check",), b'{"n": 1' + b"0" * 5000 + b', "vertices": [], "edges": []}',
+     "{path}: Exceeds the limit (4300 digits) for integer string conversion"),
+    (("uniformity",), b'{"n": 1, "base_points": ["X"], "tolerance": 1' + b"0" * 5000 + b"}",
+     "{path}: Exceeds the limit (4300 digits) for integer string conversion"),
 ]
 
 
 @pytest.mark.parametrize("argv, content, message", BAD_INPUTS,
                          ids=["not-utf8", "deep-nesting", "huge-n", "generate-seed",
-                              "verify-seed"])
+                              "verify-seed", "overlong-n", "overlong-tolerance"])
 def test_bad_input_exits_2_without_a_traceback(tmp_path, argv, content, message):
     # a subprocess, because only the interpreter's own exit shows an uncaught exception
     path = tmp_path / "bad.json"

@@ -1,32 +1,31 @@
 import numpy as np
 import pytest
 
-from ngroupoid.errors import (
-    FormatError,
-    GroupValidationError,
-    UnknownBasePointError,
-)
+from ngroupoid.analysis import is_uniform
+from ngroupoid.errors import FormatError, GroupValidationError
 from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.matrices import DEFAULT_TOL, close_to_any, rel_distance
-from ngroupoid.mixture import mixture_from_dict
+from ngroupoid.mixture import MixtureSpec, mixture_from_dict
 
 I3 = np.eye(3)
 R90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def make_constituent(implants, symmetry="trivial", base=("X", "Y")):
+def make_constituent(implants, symmetry="trivial"):
     return ConstituentGroupoid(
         name="c",
-        base=base,
         implants=implants,
         group=SymmetryGroup.from_spec(symmetry),
     )
 
 
+def transitivity(c):
+    return is_uniform(MixtureSpec(1, ("X", "Y"), (c,))).constituent_transitivity[c.name]
+
+
 def test_compose_matrix_product():
     c = make_constituent(
-        {"X": I3, "Y": np.diag([2.0, 1.0, 1.0]), "Z": np.diag([2.0, 3.0, 1.0])},
-        base=("X", "Y", "Z"),
+        {"X": I3, "Y": np.diag([2.0, 1.0, 1.0]), "Z": np.diag([2.0, 3.0, 1.0])}
     )
     a = c.arrow_set("X", "Y")[0]
     b = c.arrow_set("Y", "Z")[0]
@@ -99,10 +98,11 @@ def test_membership_does_not_depend_on_group_order(z4_order_case):
     assert close_to_any(w, mix.constituents[0].arrow_set("X", "Y"), mix.tolerance)
 
 
-def test_arrow_set_unknown_point():
+def test_arrow_set_label_without_implant_is_empty():
+    # labels are the mixture's to check; a constituent sees only its implants
     c = make_constituent({"X": I3, "Y": I3})
-    with pytest.raises(UnknownBasePointError):
-        c.arrow_set("X", "Q")
+    assert c.arrow_set("X", "Q").shape == (0, 3, 3)
+    assert c.arrow_set("Q", "Q").shape == (0, 3, 3)
 
 
 def test_contains_arrow():
@@ -114,18 +114,19 @@ def test_contains_arrow():
 
 
 def test_is_transitive():
-    assert make_constituent({"X": I3, "Y": I3}).is_transitive()
-    assert not make_constituent({"X": I3}).is_transitive()
+    assert transitivity(make_constituent({"X": I3, "Y": I3}))
+    assert not transitivity(make_constituent({"X": I3}))
     unequal = make_constituent({"X": I3, "Y": 2 * I3})
-    assert unequal.is_transitive()
+    assert transitivity(unequal)
     assert len(unequal.arrow_set("X", "Y")) and len(unequal.arrow_set("Y", "X"))
 
 
 def test_transitive_means_no_empty_sets():
-    c = make_constituent({"X": I3, "Y": R90}, symmetry="cyclic_z_2")
-    assert c.is_transitive() == all(
-        len(c.arrow_set(a, b)) for a in c.base for b in c.base
-    )
+    for implants in ({"X": I3, "Y": R90}, {"Y": R90}):
+        c = make_constituent(implants, symmetry="cyclic_z_2")
+        assert transitivity(c) == all(
+            len(c.arrow_set(a, b)) for a in ("X", "Y") for b in ("X", "Y")
+        )
 
 
 def test_group_presets_validate():
@@ -177,21 +178,27 @@ def test_arrow_sets_inverse_images():
 
 
 def test_arrow_sets_closed_under_composition():
-    base = ("X", "Y", "Z")
     K = {
         "X": I3,
         "Y": np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         "Z": np.diag([2.0, 1.0, 1.0]),
     }
-    c = make_constituent(K, symmetry="cyclic_z_4", base=base)
+    c = make_constituent(K, symmetry="cyclic_z_4")
     for a in c.arrow_set("X", "Y"):
         for b in c.arrow_set("Y", "Z"):
             assert close_to_any(b @ a, c.arrow_set("X", "Z"), DEFAULT_TOL)
 
 
 def test_implant_at_undeclared_point_rejected():
-    with pytest.raises(UnknownBasePointError):
-        make_constituent({"X": I3, "Q": I3})
+    message = r"^constituent 'c': implants at undeclared points \['Q'\]$"
+    with pytest.raises(FormatError, match=message):
+        MixtureSpec(1, ("X", "Y"), (make_constituent({"X": I3, "Q": I3}),))
+    with pytest.raises(FormatError, match=message):
+        mixture_from_dict({
+            "n": 1, "base_points": ["X", "Y"],
+            "constituents": [{"name": "c", "symmetry": "trivial",
+                              "implants": {"X": I3.ravel().tolist(), "Q": I3.ravel().tolist()}}],
+        })
 
 
 def test_mixture_validates_each_distinct_group_once(monkeypatch):

@@ -134,33 +134,6 @@ def test_two_face_counts():
         HypercubeSkeleton(1).faces(2)
 
 
-def test_spanning_tree_sizes():
-    assert len(HypercubeSkeleton(1).spanning_tree()) == 1
-    assert len(HypercubeSkeleton(2).spanning_tree()) == 3
-    s3 = HypercubeSkeleton(3)
-    assert len(s3.spanning_tree()) == 7
-    assert s3.num_edges - len(s3.spanning_tree()) == 5  # cycle rank E - V + 1
-
-
-def test_spanning_tree_discovery_order():
-    # every tree edge must be met tail-first when walked in order
-    for n in range(1, 6):
-        skel = HypercubeSkeleton(n)
-        seen = {0}
-        for e in skel.spanning_tree():
-            assert e.tail in seen
-            head = e.tail | skel.axis_bit(e.axis)
-            assert head not in seen
-            seen.add(head)
-        assert seen == set(skel.vertices)
-
-
-def test_spanning_tree_deterministic():
-    a = HypercubeSkeleton(4).spanning_tree()
-    b = HypercubeSkeleton(4).spanning_tree()
-    assert a == b
-
-
 def test_simple_cycle_census():
     assert len(HypercubeSkeleton(2).simple_cycles()) == 1
     by_len = {}

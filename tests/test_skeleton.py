@@ -9,7 +9,8 @@ from ngroupoid.analysis import (
     random_conservative,
     random_interchange_quadruple,
 )
-from ngroupoid.errors import CompositionError, ConstructionHalted, FormatError
+from ngroupoid.errors import (CompositionError, ConstructionHalted, FormatError,
+                              UnknownBasePointError)
 from ngroupoid.hypercube import Edge
 from ngroupoid.mixture import mixture_from_dict
 from ngroupoid.skeleton import (
@@ -76,6 +77,13 @@ def test_build_halts_on_empty_arrow_set():
         build(mix, ("X", "Y", "X", "Y"))
     assert exc.value.axis == 2
     assert exc.value.edge == Edge(0, 2)
+
+
+def test_build_rejects_an_unknown_label_before_any_edge():
+    # the Q check comes first, although edge (0, 2) already has an empty arrow set
+    mix = two_constituent_mixture(second_implants={"X": I9})
+    with pytest.raises(UnknownBasePointError, match="point 'Q' not in the mixture base"):
+        build(mix, ("X", "Y", "X", "Q"))
 
 
 def test_build_coset_weights():
