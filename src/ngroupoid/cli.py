@@ -19,7 +19,7 @@ from .errors import CompositionError, NGroupoidError
 from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
 from .matrices import DEFAULT_TOL, check_tolerance
 from .mixture import load_mixture
-from .skeleton import compose, dump_skeleton, load_skeleton
+from .skeleton import compose, dump_skeleton, load_skeleton, load_skeletons
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -178,8 +178,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    first = load_skeleton(args.first)
-    second = load_skeleton(args.second)
+    first, second = load_skeletons(args.first, args.second)
     if not 1 <= args.axis <= max(first.n, second.n):
         return _fail(f"--axis must lie in 1..{max(first.n, second.n)}, got {args.axis}")
     tol = DEFAULT_TOL if args.tol is None else args.tol

@@ -8,8 +8,13 @@ facet to a matching source facet and multiplying the connecting weights.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Iterable, NoReturn
+import os
+import pickle
+import signal
+import warnings
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -35,11 +40,13 @@ class ObjectiveSkeleton:
     ``vertices[i]`` is the base point at hypercube vertex i (repetitions
     allowed).  ``W`` is a read-only float64 array of shape (E, 3, 3) whose
     k-th matrix weighs the k-th edge of ``skel.edges()``; every weight is
-    finite and invertible.  The array passed in becomes read-only.
+    finite and invertible; ``checked=True`` skips that check for weights
+    that already passed it.  The array passed in becomes read-only.
     Immutable: all operations return new skeletons.
     """
 
-    def __init__(self, n: int, vertices: Iterable[Label], W: np.ndarray):
+    def __init__(self, n: int, vertices: Iterable[Label], W: np.ndarray, *,
+                 checked: bool = False):
         skel = HypercubeSkeleton(n)
         vertices = tuple(vertices)
         W = np.asarray(W, dtype=float)
@@ -49,7 +56,7 @@ class ObjectiveSkeleton:
         if W.shape != (skel.num_edges, 3, 3):
             raise ValueError(f"weight array has shape {W.shape}, "
                              f"expected ({skel.num_edges}, 3, 3)")
-        bad = first_invalid(W)
+        bad = None if checked else first_invalid(W)
         if bad:
             raise ValueError(f"edge {tuple(skel.edges()[bad[0]])}: weight {bad[1]}")
         W.flags.writeable = False
@@ -139,7 +146,8 @@ def build(mix: MixtureSpec, vertices: Iterable[Label]) -> ObjectiveSkeleton:
 
 def _facet(T: ObjectiveSkeleton, axis: int, bit: int) -> ObjectiveSkeleton:
     vertices, rows = T.skel.facet(axis, bit)
-    return ObjectiveSkeleton(T.n - 1, [T.vertices[v] for v in vertices.tolist()], T.W[rows])
+    return ObjectiveSkeleton(T.n - 1, [T.vertices[v] for v in vertices.tolist()], T.W[rows],
+                             checked=True)
 
 
 def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
@@ -328,7 +336,7 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if len(rows) != skel.num_edges:
         missing = [e for e, r in zip(skel.edges(), record) if r < 0]
         raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
-    return ObjectiveSkeleton(n, vertices, W[record])
+    return ObjectiveSkeleton(n, vertices, W[record], checked=True)
 
 
 # One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,
@@ -336,14 +344,85 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
 _EDGE_RECORD = ('    {\n      "tail": %d,\n      "axis": %d,\n      "weight": [\n'
                 + ",\n".join(["        %r"] * 9) + "\n      ]\n    }")
 
+# dump_skeleton formats the second half of the edge records in a child when
+# each half holds at least this many; below that the fork costs more than the
+# half saves (the n=11 and n=12 files split, the n <= 10 ones do not).
+_SPLIT_RECORDS = 4096
+
+
+@contextlib.contextmanager
+def _in_child(fn: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
+    """Run ``fn`` in a forked child while the block runs; yield a getter of its bytes.
+
+    The getter waits for the child and returns the bytes ``fn`` returned
+    there.  Where the child failed, or this platform cannot fork, the getter
+    runs ``fn`` here instead, so its result or error is that of ``fn``
+    alone.  Leaving the block before the getter returned, by an exception or
+    an interrupt, kills and reaps the child.
+    """
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork while other threads run, and numpy's
+            # BLAS pool counts.  That is safe here: the child only formats or
+            # parses, then leaves by os._exit, which runs no atexit hook and
+            # flushes none of this process's stdio buffers.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork here, or no process to spare
+        os.close(r)
+        os.close(w)
+        yield fn
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(fn())
+            status = 0
+        finally:
+            os._exit(status)
+    reaped = False
+
+    def result() -> bytes:
+        nonlocal reaped
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        return data if status == 0 else fn()
+
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            yield result
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
 
 def dump_skeleton(T: ObjectiveSkeleton) -> str:
-    """``json.dumps(skeleton_to_dict(T), indent=2)`` plus a newline, edges templated."""
+    """``json.dumps(skeleton_to_dict(T), indent=2)`` plus a newline, edges templated.
+
+    A large skeleton's second half of edge records is formatted in a child.
+    """
     head = json.dumps({"n": T.n, "vertices": list(T.vertices)}, indent=2)[:-2]  # no "\n}"
     tails, axes = T.skel.edge_arrays
-    records = [_EDGE_RECORD % (t, a, *w) for t, a, w in
-               zip(tails.tolist(), axes.tolist(), T.W.reshape(-1, 9).tolist())]
-    edges = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+    flat = T.W.reshape(-1, 9)
+
+    def records(part: slice) -> str:
+        return ",\n".join([_EDGE_RECORD % (t, a, *w) for t, a, w in
+                            zip(tails[part].tolist(), axes[part].tolist(), flat[part].tolist())])
+
+    half = len(tails) // 2
+    if half < _SPLIT_RECORDS:
+        edges = records(slice(None))
+    else:
+        with _in_child(lambda: records(slice(half, None)).encode()) as rest:
+            edges = records(slice(half)) + ",\n" + rest().decode()
+    edges = f"[\n{edges}\n  ]" if edges else "[]"
     return f'{head},\n  "edges": {edges}\n}}\n'
 
 
@@ -354,3 +433,18 @@ def save_skeleton(T: ObjectiveSkeleton, path: str) -> None:
 
 def load_skeleton(path: str) -> ObjectiveSkeleton:
     return skeleton_from_dict(read_json(path))
+
+
+def load_skeletons(first: str, second: str) -> tuple[ObjectiveSkeleton, ObjectiveSkeleton]:
+    """load_skeleton of both paths, the second read in a child meanwhile.
+
+    An error in the first file is raised before one in the second.
+    """
+    def read_second() -> bytes:
+        T = load_skeleton(second)
+        return pickle.dumps((T.n, T.vertices, T.W))
+
+    with _in_child(read_second) as other:
+        T = load_skeleton(first)
+        n, vertices, W = pickle.loads(other())
+    return T, ObjectiveSkeleton(n, vertices, W, checked=True)
