@@ -9,12 +9,11 @@ the same property: all circuit weights are the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PathError, UnknownBasePointError
-from .groupoid import Label
 from .hypercube import Edge, HypercubeSkeleton
 from .matrices import (
     DEFAULT_TOL,
@@ -25,8 +24,11 @@ from .matrices import (
     random_invertible,
     rel_distances,
 )
-from .mixture import MixtureSpec
 from .skeleton import ObjectiveSkeleton
+
+if TYPE_CHECKING:  # annotations only: the skeleton checks load no mixture code
+    from .groupoid import Label
+    from .mixture import MixtureSpec
 
 PERTURBATION = np.diag([2.0, 1.0, 1.0])
 

@@ -3,23 +3,17 @@
 Verbs: skeleton, check, uniformity, generate, verify-theorem, compose.
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 input
 error, 3 internal inconsistency (the two conservativity checkers disagree).
-All output is deterministic for identical inputs and seeds.
+All output is deterministic for identical inputs and seeds.  Each verb
+imports the package modules it runs, so none loads code it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-import numpy as np
-
-from . import analysis
 from .errors import CompositionError, NGroupoidError
 from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
-from .matrices import DEFAULT_TOL, check_tolerance
-from .mixture import load_mixture
-from .skeleton import compose, dump_skeleton, load_skeleton, load_skeletons
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -34,6 +28,7 @@ def _fail(msg: str) -> int:
 
 def tolerance(text: str) -> float:
     """argparse type of every --tol flag: a finite number > 0."""
+    from .matrices import check_tolerance
     return check_tolerance(float(text))
 
 
@@ -46,16 +41,20 @@ def seed(text: str) -> int:
 
 
 def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    import json
+    _emit(json.dumps(doc, indent=2) + "\n", path)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    """Write text to the file out, or to stdout; a failed write is an input error."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise NGroupoidError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_skeleton(args) -> int:
@@ -88,9 +87,13 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .analysis import conservative_oracle, is_conservative
+    from .matrices import DEFAULT_TOL
+    from .skeleton import load_skeleton
     T = load_skeleton(args.skeleton_file)
     tol = args.tol
     if args.mixture:
+        from .mixture import load_mixture
         mix = load_mixture(args.mixture)
         try:
             T.validate_against(mix)
@@ -100,8 +103,8 @@ def cmd_check(args) -> int:
             tol = mix.tolerance
     if tol is None:
         tol = DEFAULT_TOL
-    report = analysis.is_conservative(T, tol)
-    oracle = analysis.conservative_oracle(T, tol)
+    report = is_conservative(T, tol)
+    oracle = conservative_oracle(T, tol)
     if report.verdict:
         print("face check: conservative")
     else:
@@ -124,8 +127,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_uniformity(args) -> int:
+    from .analysis import is_uniform
+    from .mixture import load_mixture
     mix = load_mixture(args.mixture_file)
-    rep = analysis.is_uniform(mix)
+    rep = is_uniform(mix)
     for name, ok in rep.constituent_transitivity.items():
         print(f"constituent {name}: {'transitive' if ok else 'not transitive'}")
     print(f"core: {'transitive' if rep.verdict else 'not transitive'}")
@@ -145,23 +150,28 @@ def cmd_uniformity(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import numpy as np
+    from .analysis import perturb_edge, random_conservative
+    from .skeleton import dump_skeleton
     if not 1 <= args.n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    T = analysis.random_conservative(args.n, rng)
+    T = random_conservative(args.n, rng)
     if args.mode == "perturbed":
-        T, _edge = analysis.perturb_edge(T, rng)
+        T, _edge = perturb_edge(T, rng)
     _emit(dump_skeleton(T), args.out)
     return EXIT_OK
 
 
 def cmd_verify_theorem(args) -> int:
+    from .analysis import theorem_sweep
+    from .matrices import DEFAULT_TOL
     if not 2 <= args.n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 2..{MAX_DIMENSION}, got {args.n}")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
     tol = DEFAULT_TOL if args.tol is None else args.tol
-    res = analysis.theorem_sweep(args.n, args.trials, args.seed, tol)
+    res = theorem_sweep(args.n, args.trials, args.seed, tol)
     t = res["trials"]
     total = res["agree_conservative"] + res["agree_perturbed"]
     print(f"conservative: {res['agree_conservative']}/{t} agreements")
@@ -178,6 +188,8 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .matrices import DEFAULT_TOL
+    from .skeleton import compose, dump_skeleton, load_skeletons
     first, second = load_skeletons(args.first, args.second)
     if not 1 <= args.axis <= max(first.n, second.n):
         return _fail(f"--axis must lie in 1..{max(first.n, second.n)}, got {args.axis}")

@@ -14,13 +14,12 @@ import os
 import pickle
 import signal
 import warnings
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
 from .errors import (CompositionError, ConstructionHalted, FormatError,
                      UnknownBasePointError, read_json)
-from .groupoid import Label
 from .hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
 from .matrices import (
     DEFAULT_TOL,
@@ -31,7 +30,10 @@ from .matrices import (
     first_invalid,
     rel_distances,
 )
-from .mixture import MixtureSpec
+
+if TYPE_CHECKING:  # annotations only: a skeleton alone loads no mixture code
+    from .groupoid import Label
+    from .mixture import MixtureSpec
 
 
 class ObjectiveSkeleton:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -471,6 +472,14 @@ def test_undeclared_implant_names_constituent_and_point(run_cli, tmp_path, data_
         "error: constituent 'beta': implants at undeclared points ['Q']\n")
 
 
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on args with this checkout's package importable."""
+    src = str(pathlib.Path(ngroupoid.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=env)
+
+
 # (verb arguments, input file bytes or None, text the error line must hold);
 # the file, when there is one, is the last argument, and {path} stands for it
 BAD_INPUTS = [
@@ -497,10 +506,79 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, argv, content, message)
     if content is not None:
         path.write_bytes(content)
         argv = (*argv, str(path))
-    src = str(pathlib.Path(ngroupoid.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "ngroupoid", *argv], capture_output=True,
-                          text=True, cwd=tmp_path, env=env)
+    proc = run_python(["-m", "ngroupoid", *argv], tmp_path)
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert proc.returncode == 2, proc.stderr
     assert len(errors) == 1 and message.format(path=path) in errors[0], proc.stderr
+
+
+def write_inputs(directory: pathlib.Path) -> None:
+    """An n=3 skeleton c.json and a composable pair of 2-cubes a.json, b.json."""
+    A, B = analysis.random_composable_chain(2, 1, 2, seed=3)
+    save_skeleton(A, str(directory / "a.json"))
+    save_skeleton(B, str(directory / "b.json"))
+    save_skeleton(analysis.random_conservative(3, seed=1), str(directory / "c.json"))
+
+
+# (verb arguments, first stdout line: what the verb printed before it wrote --out)
+UNWRITABLE_OUT = [
+    (("generate", "--n", "2"), None),
+    (("compose", "a.json", "b.json", "--axis", "1"), None),
+    (("check", "c.json"), "face check: conservative"),
+    (("uniformity", "{data}/mixture_rotated.json"), "constituent alpha: transitive"),
+]
+
+
+@pytest.mark.parametrize("argv, first_line", UNWRITABLE_OUT,
+                         ids=["generate", "compose", "check", "uniformity"])
+def test_unwritable_out_exits_2_without_a_traceback(tmp_path, data_dir, argv, first_line):
+    write_inputs(tmp_path)
+    out = tmp_path / "missing" / "out.json"
+    argv = [a.format(data=data_dir) for a in argv]
+    proc = run_python(["-m", "ngroupoid", *argv, "--out", str(out)], tmp_path)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert proc.returncode == 2, proc.stderr
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {out}: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (proc.stdout.splitlines() or [None])[0] == first_line
+
+
+# (code run in a fresh interpreter, the package modules and numpy it leaves loaded)
+RUN_VERB = "from ngroupoid.cli import main; main({!r})"
+LOADED = [
+    ("import ngroupoid", set()),
+    ("import ngroupoid; ngroupoid.hypercube", {"hypercube", "numpy"}),
+    (RUN_VERB.format(["skeleton", "--n", "1"]), {"cli", "errors", "hypercube", "numpy"}),
+    (RUN_VERB.format(["check", "c.json"]),
+     {"analysis", "cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+    (RUN_VERB.format(["generate", "--n", "2", "--out", "g.json"]),
+     {"analysis", "cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+    (RUN_VERB.format(["compose", "a.json", "b.json", "--axis", "1", "--out", "ab.json"]),
+     {"cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+]
+
+
+@pytest.mark.parametrize("code, expected", LOADED, ids=[
+    "import", "submodule-attribute", "skeleton", "check", "generate", "compose"])
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, code, expected):
+    write_inputs(tmp_path)
+    report = ("import sys; print(*sorted(m.removeprefix('ngroupoid.') for m in sys.modules "
+              "if m == 'numpy' or m.startswith('ngroupoid.')), file=sys.stderr)")
+    proc = run_python(["-c", f"{code}\n{report}"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.splitlines()[-1].split()) == expected
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    for name in ngroupoid.__all__:
+        module = importlib.import_module(f"ngroupoid.{ngroupoid._HOME[name]}")
+        obj = getattr(ngroupoid, name)
+        assert obj is getattr(module, name), name
+        assert not callable(obj) or obj.__module__ == module.__name__, name
+    namespace = {}
+    exec("from ngroupoid import *", namespace)
+    assert all(namespace[name] is getattr(ngroupoid, name) for name in ngroupoid.__all__)
+    assert set(ngroupoid.__all__) <= set(dir(ngroupoid))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ngroupoid.no_such_name
+    assert ngroupoid.__version__ == "0.1.0"
