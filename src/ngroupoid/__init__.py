@@ -31,10 +31,9 @@ _EXPORTS = {
     "matrices": ("DEFAULT_TOL", "DET_THRESHOLD", "identity_deviation", "rel_distance"),
     "mixture": ("MixtureSpec", "load_mixture", "mixture_from_dict"),
     "skeleton": (
-        "ObjectiveSkeleton", "assemble_from_facets", "build", "compose", "dump_skeleton",
-        "interchange_check", "inverse_axis", "load_skeleton", "save_skeleton",
-        "skeleton_from_dict", "skeleton_to_dict", "source_facet", "target_facet",
-        "unit_skeleton",
+        "ObjectiveSkeleton", "build", "compose", "dump_skeleton", "interchange_check",
+        "inverse_axis", "load_skeleton", "save_skeleton", "skeleton_from_dict",
+        "skeleton_to_dict", "source_facet", "target_facet", "unit_skeleton",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -46,6 +46,14 @@ def _floats(data: object) -> np.ndarray | None:
         return None
 
 
+def matrices(rows: Sequence) -> np.ndarray | None:
+    """One or more rows, all 9 numbers or all 3x3 nested lists, as a (k, 3, 3) stack; else None."""
+    ms = _floats(rows)
+    if ms is None or ms.shape[1:] not in _ROW_SHAPES:
+        return None
+    return ms.reshape(-1, 3, 3)
+
+
 def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     """Matrices read from input as one finite, invertible float64 (k, 3, 3) stack.
 
@@ -53,15 +61,14 @@ def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     3x3 nested list, finite, with |det| > DET_THRESHOLD.  The first bad row
     in order raises ValueError naming it, ``name(i)``, and the reason.
     """
-    ms, malformed = _floats(rows), None
-    if ms is None or ms.shape[1:] not in _ROW_SHAPES:
+    ms, malformed = matrices(rows), None
+    if ms is None:
         # ragged, mixed-shape or non-numeric rows: coerce each on its own;
-        # the rows before the first malformed one are still checked below
+        # the rows before the first malformed one still go through first_invalid
         each = [_floats(row) for row in rows]
         malformed = next((i for i, m in enumerate(each)
                           if m is None or m.shape not in _ROW_SHAPES), None)
-        ms = np.array([m.reshape(3, 3) for m in each[:malformed]])
-    ms = ms.reshape(-1, 3, 3)
+        ms = np.array([m.reshape(3, 3) for m in each[:malformed]]).reshape(-1, 3, 3)
     bad = first_invalid(ms)
     if bad:
         raise ValueError(f"{name(bad[0])} {bad[1]}")

@@ -28,6 +28,7 @@ from .matrices import (
     check_tolerance,
     close_to_any,
     first_invalid,
+    matrices,
     rel_distances,
 )
 
@@ -42,13 +43,11 @@ class ObjectiveSkeleton:
     ``vertices[i]`` is the base point at hypercube vertex i (repetitions
     allowed).  ``W`` is a read-only float64 array of shape (E, 3, 3) whose
     k-th matrix weighs the k-th edge of ``skel.edges()``; every weight is
-    finite and invertible; ``checked=True`` skips that check for weights
-    that already passed it.  The array passed in becomes read-only.
+    finite and invertible.  The array passed in becomes read-only.
     Immutable: all operations return new skeletons.
     """
 
-    def __init__(self, n: int, vertices: Iterable[Label], W: np.ndarray, *,
-                 checked: bool = False):
+    def __init__(self, n: int, vertices: Iterable[Label], W: np.ndarray):
         skel = HypercubeSkeleton(n)
         vertices = tuple(vertices)
         W = np.asarray(W, dtype=float)
@@ -58,7 +57,7 @@ class ObjectiveSkeleton:
         if W.shape != (skel.num_edges, 3, 3):
             raise ValueError(f"weight array has shape {W.shape}, "
                              f"expected ({skel.num_edges}, 3, 3)")
-        bad = None if checked else first_invalid(W)
+        bad = first_invalid(W)
         if bad:
             raise ValueError(f"edge {tuple(skel.edges()[bad[0]])}: weight {bad[1]}")
         W.flags.writeable = False
@@ -148,28 +147,7 @@ def build(mix: MixtureSpec, vertices: Iterable[Label]) -> ObjectiveSkeleton:
 
 def _facet(T: ObjectiveSkeleton, axis: int, bit: int) -> ObjectiveSkeleton:
     vertices, rows = T.skel.facet(axis, bit)
-    return ObjectiveSkeleton(T.n - 1, [T.vertices[v] for v in vertices.tolist()], T.W[rows],
-                             checked=True)
-
-
-def assemble_from_facets(F0: ObjectiveSkeleton, F1: ObjectiveSkeleton, axis: int,
-                         weights: np.ndarray) -> ObjectiveSkeleton:
-    """The n-skeleton with axis-facets F0 and F1, joined by class-``axis`` edges.
-
-    ``weights`` holds the class-``axis`` weights in ascending tail order.
-    """
-    if F0.n != F1.n:
-        raise CompositionError(f"facet dimension mismatch: {F0.n} vs {F1.n}")
-    skel = HypercubeSkeleton(F0.n + 1)
-    vertices = [None] * skel.num_vertices
-    W = np.empty((skel.num_edges, 3, 3))
-    for F, bit in ((F0, 0), (F1, 1)):
-        on_facet, rows = skel.facet(axis, bit)
-        for v, p in zip(on_facet.tolist(), F.vertices):
-            vertices[v] = p
-        W[rows] = F.W
-    W[skel.edge_arrays[1] == axis] = weights
-    return ObjectiveSkeleton(skel.n, vertices, W)
+    return ObjectiveSkeleton(T.n - 1, [T.vertices[v] for v in vertices.tolist()], T.W[rows])
 
 
 def source_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
@@ -180,10 +158,6 @@ def source_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
 def target_facet(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Restriction to the facet where the axis coordinate is 1."""
     return _facet(T, axis, 1)
-
-
-def _axis_weights(T: ObjectiveSkeleton, axis: int) -> np.ndarray:
-    return T.W[T.skel.edge_arrays[1] == axis]
 
 
 def _check_glue(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
@@ -219,20 +193,32 @@ def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
     weight that overflows or is singular raises ValueError naming its edge.
     """
     _check_glue(T, Tp, axis, check_tolerance(tol))
+    tails, axes = T.skel.edge_arrays
+    bit, glue = T.skel.axis_bit(axis), axes == axis
+    W = np.where((tails & bit != 0)[:, None, None], T.W, Tp.W)
     with np.errstate(over="ignore"):  # an overflowing product fails the weight check
-        weights = _axis_weights(T, axis) @ _axis_weights(Tp, axis)
-    return assemble_from_facets(source_facet(Tp, axis), target_facet(T, axis), axis, weights)
+        W[glue] = T.W[glue] @ Tp.W[glue]
+    return ObjectiveSkeleton(T.n, [(T if v & bit else Tp).vertices[v] for v in T.skel.vertices], W)
 
 
 def unit_skeleton(F: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Degenerate skeleton with F on both axis-facets and unit axis edges."""
-    return assemble_from_facets(F, F, axis, IDENTITY)
+    skel = HypercubeSkeleton(F.n + 1)
+    label, W = np.empty(skel.num_vertices, dtype=np.intp), np.empty((skel.num_edges, 3, 3))
+    for bit in (0, 1):
+        on_facet, rows = skel.facet(axis, bit)
+        label[on_facet], W[rows] = np.arange(len(on_facet)), F.W
+    W[skel.edge_arrays[1] == axis] = IDENTITY
+    return ObjectiveSkeleton(skel.n, [F.vertices[v] for v in label.tolist()], W)
 
 
 def inverse_axis(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     """Swap the two axis-facets and invert every class-``axis`` weight."""
-    return assemble_from_facets(target_facet(T, axis), source_facet(T, axis), axis,
-                                np.linalg.inv(_axis_weights(T, axis)))
+    tails, axes = T.skel.edge_arrays
+    bit, glue = T.skel.axis_bit(axis), axes == axis
+    W = T.W[T.skel.edge_index[np.where(glue, tails, tails ^ bit), axes - 1]]
+    W[glue] = np.linalg.inv(W[glue])
+    return ObjectiveSkeleton(T.n, [T.vertices[v ^ bit] for v in T.skel.vertices], W)
 
 
 def interchange_check(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton,
@@ -334,11 +320,17 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
                     continue
         weights()  # a bad weight in an earlier record is reported first
         _reject_record(skel, idx, rec)
-    W = weights()
-    if len(rows) != skel.num_edges:
-        missing = [e for e, r in zip(skel.edges(), record) if r < 0]
-        raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
-    return ObjectiveSkeleton(n, vertices, W[record], checked=True)
+    W = matrices(rows)
+    if W is None or len(rows) != skel.num_edges:
+        W = weights()  # a bad weight is reported before missing edges
+        if len(rows) != skel.num_edges:
+            missing = [e for e, r in zip(skel.edges(), record) if r < 0]
+            raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
+    try:
+        return ObjectiveSkeleton(n, vertices, W[record])
+    except ValueError:
+        weights()  # raises, naming the first bad weight in file order
+        raise
 
 
 # One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,
@@ -442,11 +434,7 @@ def load_skeletons(first: str, second: str) -> tuple[ObjectiveSkeleton, Objectiv
 
     An error in the first file is raised before one in the second.
     """
-    def read_second() -> bytes:
-        T = load_skeleton(second)
-        return pickle.dumps((T.n, T.vertices, T.W))
-
-    with _in_child(read_second) as other:
+    # protocol 5 keeps the read-only flag of the weight array
+    with _in_child(lambda: pickle.dumps(load_skeleton(second), protocol=5)) as other:
         T = load_skeleton(first)
-        n, vertices, W = pickle.loads(other())
-    return T, ObjectiveSkeleton(n, vertices, W, checked=True)
+        return T, pickle.loads(other())

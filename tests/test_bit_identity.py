@@ -586,6 +586,10 @@ RECORD_CASES = {
     "bad weight after a fault": lambda e: (_set(e[1], axis=9), _set(e[3], weight=[0.0] * 9)),
     "bad weight at the fault": lambda e: _set(e[2], tail=4, axis=1, weight=[0.0] * 9),
     "bad weight, no fault": lambda e: _set(e[4], weight=[1.0] * 9),
+    # file order, not edge order, picks the bad weight named: edges[9] comes first by edge
+    "two bad weights, records reversed": lambda e: (
+        e.reverse(), _set(e[2], weight=[0.0] * 9), _set(e[9], weight=[1.0] * 9)),
+    "bad weight, last edge missing": lambda e: (_set(e[4], weight=[1.0] * 9), e.pop()),
     "first edge missing": lambda e: e.pop(0),
     "last edge missing": lambda e: e.pop(),
     "no edges": lambda e: e.clear(),

@@ -131,9 +131,14 @@ def test_child_error_reruns_here_and_raises_its_own_error():
     assert no_children_left()
 
 
-def test_one_weight_check_per_file(monkeypatch, tmp_path):
-    path = tmp_path / "a.json"
-    save_skeleton(random_conservative(3, seed=1), str(path))
+@pytest.mark.parametrize("load", [
+    lambda a, b: load_skeleton(a),
+    lambda a, b: load_skeletons(a, b),  # the child checks the second file on its own
+], ids=["load_skeleton", "load_skeletons"])
+def test_one_weight_check_per_file(monkeypatch, tmp_path, load):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_skeleton(random_conservative(3, seed=1), str(a))
+    save_skeleton(random_conservative(4, seed=2), str(b))
     calls = []
     first_invalid = matrices.first_invalid
 
@@ -143,7 +148,7 @@ def test_one_weight_check_per_file(monkeypatch, tmp_path):
 
     monkeypatch.setattr(matrices, "first_invalid", counted)
     monkeypatch.setattr(skeleton_module, "first_invalid", counted)
-    load_skeleton(str(path))
+    load(str(a), str(b))
     assert calls == [12]
 
 

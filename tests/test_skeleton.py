@@ -15,7 +15,6 @@ from ngroupoid.hypercube import Edge
 from ngroupoid.mixture import mixture_from_dict
 from ngroupoid.skeleton import (
     ObjectiveSkeleton,
-    assemble_from_facets,
     build,
     compose,
     dump_skeleton,
@@ -248,16 +247,6 @@ def test_interchange_needs_distinct_axes():
     T = random_conservative(2, seed=0)
     with pytest.raises(ValueError):
         interchange_check(T, T, T, T, 1, 1)
-
-
-@pytest.mark.parametrize("axis", [1, 2, 3])
-def test_assemble_from_facets_recovers_skeleton(axis):
-    T = random_conservative(3, seed=33)
-    connecting = T.W[T.skel.edge_arrays[1] == axis]  # ascending tail order
-    rebuilt = assemble_from_facets(
-        source_facet(T, axis), target_facet(T, axis), axis, connecting
-    )
-    assert rebuilt == T
 
 
 def test_roundtrip_exact():
