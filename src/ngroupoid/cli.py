@@ -274,7 +274,3 @@ def main(argv=None) -> int:
         return args.func(args)
     except NGroupoidError as exc:
         return _fail(str(exc))
-
-
-def entry_point() -> None:
-    sys.exit(main())

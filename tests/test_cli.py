@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -10,17 +13,19 @@ import numpy as np
 import pytest
 
 import ngroupoid
-from ngroupoid import analysis
+from ngroupoid import analysis, cli
 from ngroupoid.hypercube import MAX_DIMENSION
 from ngroupoid.mixture import load_mixture
 from ngroupoid.skeleton import (
     ObjectiveSkeleton,
     build,
     compose,
+    dump_skeleton,
     load_skeleton,
     save_skeleton,
     skeleton_to_dict,
 )
+from test_golden_bytes import CHECK_REPORT_N6, COMPOSE_N6_AXIS2, GENERATE_N8, sha256
 
 
 def test_skeleton_summary_n3(run_cli):
@@ -472,11 +477,15 @@ def test_undeclared_implant_names_constituent_and_point(run_cli, tmp_path, data_
         "error: constituent 'beta': implants at undeclared points ['Q']\n")
 
 
-def run_python(args, cwd) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on args with this checkout's package importable."""
+def run_python(args, cwd, text=True) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on args with this checkout's package importable.
+
+    Its stdout is block-buffered, as in a plain shell, whatever PYTHONUNBUFFERED says here.
+    """
     src = str(pathlib.Path(ngroupoid.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, cwd=cwd,
                           env=env)
 
 
@@ -582,3 +591,81 @@ def test_package_names_resolve_to_their_defining_modules():
     with pytest.raises(AttributeError, match="no_such_name"):
         ngroupoid.no_such_name
     assert ngroupoid.__version__ == "0.1.0"
+
+
+def run_entry(argv, cwd) -> subprocess.CompletedProcess:
+    """Run ``python -m ngroupoid`` on argv with a block-buffered stdout; stdout as bytes."""
+    return run_python(["-m", "ngroupoid", *map(str, argv)], cwd, text=False)
+
+
+def test_real_entry_loses_no_byte(tmp_path, run_cli):
+    # the commands pinned in test_golden_bytes.py, through the process entry
+    for mode, digest in GENERATE_N8.items():
+        proc = run_entry(["generate", "--n", 8, "--seed", 0, "--mode", mode], tmp_path)
+        assert (proc.returncode, sha256(proc.stdout)) == (0, digest)
+    A, B = analysis.random_composable_chain(6, 2, 2, seed=1)
+    save_skeleton(A, str(tmp_path / "a.json"))
+    save_skeleton(B, str(tmp_path / "b.json"))
+    proc = run_entry(["compose", "a.json", "b.json", "--axis", 2], tmp_path)
+    assert (proc.returncode, sha256(proc.stdout)) == (0, COMPOSE_N6_AXIS2)
+    assert run_entry(["generate", "--n", 6, "--seed", 0, "--mode", "perturbed",
+                      "--out", "p.json"], tmp_path).returncode == 0
+    proc = run_entry(["check", "p.json", "--out", "r.json"], tmp_path)
+    assert proc.returncode == 1
+    assert sha256((tmp_path / "r.json").read_bytes()) == CHECK_REPORT_N6
+    # far more than a pipe holds, from a writer that forks
+    proc = run_entry(["generate", "--n", 11, "--seed", 3], tmp_path)
+    assert proc.returncode == 0
+    expected = dump_skeleton(analysis.random_conservative(11, np.random.default_rng(3)))
+    assert proc.stdout == expected.encode("utf-8")
+    # each exit code, with the short output still in the stdout buffer at the end
+    conservative, perturbed = str(tmp_path / "c.json"), str(tmp_path / "p.json")
+    assert run_cli("generate", "--n", 3, "--seed", 7, "--out", conservative)[0] == 0
+    for argv, code in ((["check", conservative], 0), (["check", perturbed], 1),
+                       (["skeleton", "--n", "0"], 2)):
+        proc = run_entry(argv, tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, run_cli(*argv)[1].encode("utf-8"))
+
+
+def test_escaping_error_reaches_the_interpreter(tmp_path):
+    code = ("import sys\n"
+            "from ngroupoid import __main__ as entry, cli\n"
+            "def verb(args):\n"
+            "    raise RuntimeError('verb failed')\n"
+            "cli.cmd_skeleton = verb\n"
+            "sys.argv = ['ngroupoid', 'skeleton', '--n', '1']\n"
+            "entry.main()\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: verb failed\n")
+
+
+def garbage_after(argv) -> int:
+    """How many unreachable objects the cyclic collector finds after cli.main(argv)."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("small, large", [
+    (["verify-theorem", "--n", "3", "--trials", "5"],
+     ["verify-theorem", "--n", "3", "--trials", "200"]),
+    (["generate", "--n", "2"], ["generate", "--n", "10"]),
+], ids=["verify-theorem", "generate"])
+def test_collector_would_find_nothing_that_grows(small, large):
+    # the process entry turns the collector off; what it leaves uncollected
+    # must not grow with the input (the first runs import and fill caches)
+    for argv in (small, large):
+        garbage_after(argv)
+    assert garbage_after(small) == garbage_after(large)
+
+
+def test_in_process_main_leaves_the_collector_on(run_cli):
+    assert run_cli("skeleton", "--n", 1)[0] == 0
+    assert gc.isenabled()
