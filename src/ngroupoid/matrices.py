@@ -34,24 +34,18 @@ def _numeric(data: object) -> bool:
     return isinstance(data, (int, float, np.integer, np.floating)) and not isinstance(data, bool)
 
 
-def _floats(data: object) -> np.ndarray | None:
-    if not _numeric(data):
-        return None
-    try:
-        return np.array(data, dtype=float)
-    except OverflowError:  # an integer beyond the float range: read as infinite
-        return np.vectorize(lambda x: x if abs(x) <= sys.float_info.max else np.inf,
-                            otypes=[float])(np.array(data, dtype=object))
-    except (ValueError, TypeError):
-        return None
-
-
 def matrices(rows: Sequence) -> np.ndarray | None:
     """One or more rows, all 9 numbers or all 3x3 nested lists, as a (k, 3, 3) stack; else None."""
-    ms = _floats(rows)
-    if ms is None or ms.shape[1:] not in _ROW_SHAPES:
+    if not _numeric(rows):
         return None
-    return ms.reshape(-1, 3, 3)
+    try:
+        ms = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond the float range: read as infinite
+        ms = np.vectorize(lambda x: x if abs(x) <= sys.float_info.max else np.inf,
+                          otypes=[float])(np.array(rows, dtype=object))
+    except (ValueError, TypeError):
+        return None
+    return ms.reshape(-1, 3, 3) if ms.shape[1:] in _ROW_SHAPES else None
 
 
 def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
@@ -65,10 +59,9 @@ def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     if ms is None:
         # ragged, mixed-shape or non-numeric rows: coerce each on its own;
         # the rows before the first malformed one still go through first_invalid
-        each = [_floats(row) for row in rows]
-        malformed = next((i for i, m in enumerate(each)
-                          if m is None or m.shape not in _ROW_SHAPES), None)
-        ms = np.array([m.reshape(3, 3) for m in each[:malformed]]).reshape(-1, 3, 3)
+        each = [matrices([row]) for row in rows]
+        malformed = next((i for i, m in enumerate(each) if m is None), None)
+        ms = np.array(each[:malformed]).reshape(-1, 3, 3)
     bad = first_invalid(ms)
     if bad:
         raise ValueError(f"{name(bad[0])} {bad[1]}")

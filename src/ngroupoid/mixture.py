@@ -14,8 +14,8 @@ Mixtures are ingested from JSON documents:
     }
 
 ``tolerance`` is optional; it must be a finite number > 0.  Point labels
-are strings or integers, and implant keys must reference declared base
-points.
+are strings, and implant keys must reference declared base points.  A
+``MixtureSpec`` built in Python may also label points with integers.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def mixture_from_dict(doc: object) -> MixtureSpec:
     if type(n) is not int:
         raise FormatError(f"mixture: field 'n' must be an integer, got {n!r}")
     points = _require(doc, "base_points", "mixture")
-    if not isinstance(points, list) or not points or any(type(p) not in (str, int) for p in points):
-        raise FormatError(
-            "mixture: field 'base_points' must be a nonempty list of strings or integers")
+    if not isinstance(points, list) or not points or any(type(p) is not str for p in points):
+        raise FormatError("mixture: field 'base_points' must be a nonempty list of strings, "
+                          "as implants are keyed by point and JSON keys are strings")
     try:
         tolerance = check_tolerance(doc.get("tolerance", DEFAULT_TOL), "mixture: field 'tolerance'")
     except ValueError as exc:

@@ -301,13 +301,6 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     index = skel.edge_index.tolist()
     record = [-1] * skel.num_edges  # edge position -> record index
     rows: list = []  # rows[idx] is the weight of edges[idx]
-
-    def weights() -> np.ndarray:
-        try:
-            return check_invertible(rows, lambda i: f"edges[{i}]: weight")
-        except ValueError as exc:
-            raise FormatError(f"skeleton: {exc}") from exc
-
     for idx, rec in enumerate(edges):
         if isinstance(rec, dict) and "tail" in rec and "axis" in rec and "weight" in rec:
             tail, axis = rec["tail"], rec["axis"]
@@ -318,19 +311,24 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
                     record[k] = idx
                     rows.append(rec["weight"])
                     continue
-        weights()  # a bad weight in an earlier record is reported first
-        _reject_record(skel, idx, rec)
-    W = matrices(rows)
-    if W is None or len(rows) != skel.num_edges:
-        W = weights()  # a bad weight is reported before missing edges
-        if len(rows) != skel.num_edges:
-            missing = [e for e, r in zip(skel.edges(), record) if r < 0]
-            raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
+        break  # edges[len(rows)] is no new edge
+    else:
+        W = matrices(rows)
+        if W is not None and len(rows) == skel.num_edges:
+            with contextlib.suppress(ValueError):  # a bad weight is named below
+                return ObjectiveSkeleton(n, vertices, W[record])
+    # The first fault, in this order: a bad weight among the accepted rows,
+    # in file order; the record that stopped the loop; the missing edges.
     try:
-        return ObjectiveSkeleton(n, vertices, W[record])
-    except ValueError:
-        weights()  # raises, naming the first bad weight in file order
-        raise
+        W = check_invertible(rows, lambda i: f"edges[{i}]: weight")
+    except ValueError as exc:
+        raise FormatError(f"skeleton: {exc}") from exc
+    if len(rows) < len(edges):
+        _reject_record(skel, len(rows), edges[len(rows)])
+    if len(rows) < skel.num_edges:
+        missing = [e for e, r in zip(skel.edges(), record) if r < 0]
+        raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
+    return ObjectiveSkeleton(n, vertices, W[record])
 
 
 # One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,

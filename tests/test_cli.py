@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -134,7 +135,7 @@ def test_check_rejects_bad_files(run_cli, tmp_path):
     assert run_cli("check", notskel)[0] == 2
 
 
-def test_check_against_mixture(run_cli, tmp_path, data_dir):
+def test_check_against_mixture(run_cli, tmp_path, data_dir, capsys):
     mix_path = data_dir / "mixture_identical.json"
     mix = load_mixture(str(mix_path))
     T = build(mix, ("X", "Y", "X", "Y"))
@@ -143,10 +144,20 @@ def test_check_against_mixture(run_cli, tmp_path, data_dir):
     code, out = run_cli("check", skel_path, "--mixture", mix_path)
     assert code == 0
 
-    # a random skeleton carries arrows outside the constituents
+    # a random skeleton's labels 0..3 are not points of the mixture
     rand_path = tmp_path / "rand.json"
     run_cli("generate", "--n", 2, "--seed", 1, "--out", rand_path)
+    capsys.readouterr()
     assert run_cli("check", rand_path, "--mixture", mix_path)[0] == 2
+    assert "vertex label 0 not in the mixture base" in capsys.readouterr().err
+
+    # over the mixture's points, it carries arrows outside the constituents
+    doc = json.loads(rand_path.read_text())
+    doc["vertices"] = ["X", "Y", "X", "Y"]
+    rand_path.write_text(json.dumps(doc))
+    assert run_cli("check", rand_path, "--mixture", mix_path)[0] == 2
+    assert ("edge (0, 1): weight is not an arrow of constituent 'alpha'"
+            in capsys.readouterr().err)
 
 
 def test_check_against_mixture_ignores_group_order(run_cli, tmp_path, z4_order_case):
@@ -387,6 +398,7 @@ BAD_HEADER = [
     ('"tolerance"', '"1e-9"'),
     ('"n"', "true"),
     ('"base_points"', '[["X"], ["Y"]]'),
+    ('"base_points"', '["X", 1]'),
     ("implant at 'Y'", '["1", 1, 0, 0, 1, 0, 0, 0, 1]'),
     ("implant at 'Y'", "[true, true, false, false, true, false, false, false, true]"),
     ("group element 0", '[[1, 0, 0, 0, 1, 0, 0, 0, "1"]]'),
@@ -477,16 +489,21 @@ def test_undeclared_implant_names_constituent_and_point(run_cli, tmp_path, data_
         "error: constituent 'beta': implants at undeclared points ['Q']\n")
 
 
+def python_env() -> dict:
+    """This environment, with this checkout's package importable and PYTHONUNBUFFERED unset."""
+    src = str(pathlib.Path(ngroupoid.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run_python(args, cwd, text=True) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on args with this checkout's package importable.
 
     Its stdout is block-buffered, as in a plain shell, whatever PYTHONUNBUFFERED says here.
     """
-    src = str(pathlib.Path(ngroupoid.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], capture_output=True, text=text, cwd=cwd,
-                          env=env)
+                          env=python_env())
 
 
 # (verb arguments, input file bytes or None, text the error line must hold);
@@ -639,6 +656,29 @@ def test_escaping_error_reaches_the_interpreter(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("Traceback (most recent call last):\n")
     assert proc.stderr.endswith("RuntimeError: verb failed\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_process_quietly(tmp_path, run_cli):
+    # the edge listing of the 12-cube is far more than a pipe holds, so the
+    # process is still writing when the reader goes away after one line
+    err = tmp_path / "stderr"
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "ngroupoid", "skeleton", "--n", "12",
+                                 "--edges"], stdout=subprocess.PIPE, stderr=stderr,
+                                cwd=tmp_path, env=python_env())
+        try:
+            assert proc.stdout.readline() == b"vertices: 4096, edges: 24576, 2-faces: 67584\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == -signal.SIGPIPE
+        finally:
+            proc.kill()
+            proc.wait()
+    assert err.read_bytes() == b""
+    # in process, cli.main leaves the interpreter's handler alone
+    handler = signal.getsignal(signal.SIGPIPE)
+    assert run_cli("skeleton", "--n", 1)[0] == 0
+    assert signal.getsignal(signal.SIGPIPE) == handler
 
 
 def garbage_after(argv) -> int:

@@ -12,6 +12,7 @@ from ngroupoid.analysis import (
 from ngroupoid.errors import (CompositionError, ConstructionHalted, FormatError,
                               UnknownBasePointError)
 from ngroupoid.hypercube import Edge
+from ngroupoid.matrices import check_invertible
 from ngroupoid.mixture import mixture_from_dict
 from ngroupoid.skeleton import (
     ObjectiveSkeleton,
@@ -327,6 +328,36 @@ def test_from_dict_mixed_flat_and_nested_weights():
     for rec in doc["edges"][1::2]:
         rec["weight"] = np.reshape(rec["weight"], (3, 3)).tolist()
     assert skeleton_from_dict(doc) == flat
+
+
+NESTED_SHEAR = np.reshape(SHEAR, (3, 3)).tolist()
+# (rows, the literal error message; None where the rows are accepted)
+INVERTIBLE_CASES = {
+    "eight numbers": ([I9, [1.0] * 8], "row 1 is not 9 numbers or a 3x3 nested list"),
+    "booleans": ([I9, [True, False, False, False, True, False, False, False, True]],
+                 "row 1 is not 9 numbers or a 3x3 nested list"),
+    "string entry": ([I9, [1, 0, 0, 0, 1, 0, 0, 0, "1"]],
+                     "row 1 is not 9 numbers or a 3x3 nested list"),
+    "too large for a float": ([I9, [10**400, 0, 0, 0, 1, 0, 0, 0, 1]],
+                              "row 1 has non-finite entries"),
+    "singular before short": ([I9, [0.0] * 9, [1.0] * 8],
+                              "row 1 is numerically singular (det=0.000e+00)"),
+    "short before singular": ([I9, [1.0] * 8, [0.0] * 9],
+                              "row 1 is not 9 numbers or a 3x3 nested list"),
+    "flat and nested": ([I9, NESTED_SHEAR, SHEAR], None),
+}
+
+
+@pytest.mark.parametrize("case", INVERTIBLE_CASES)
+def test_check_invertible_messages(case):
+    rows, message = INVERTIBLE_CASES[case]
+    if message is not None:
+        with pytest.raises(ValueError) as exc:
+            check_invertible(rows, lambda i: f"row {i}")
+        assert str(exc.value) == message
+        return
+    ms = check_invertible(rows, lambda i: f"row {i}")
+    assert ms.dtype == np.float64 and np.array_equal(ms, np.reshape([I9, SHEAR, SHEAR], (3, 3, 3)))
 
 
 # SHA-256 of `generate --n 12 --seed 0` stdout, recorded with the json.dumps writer
