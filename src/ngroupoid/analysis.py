@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PathError, UnknownBasePointError
-from .hypercube import Edge, HypercubeSkeleton
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
@@ -24,11 +23,12 @@ from .matrices import (
     random_invertible,
     rel_distances,
 )
-from .skeleton import ObjectiveSkeleton
 
-if TYPE_CHECKING:  # annotations only: the skeleton checks load no mixture code
+if TYPE_CHECKING:  # annotations only: the skeleton checks load no mixture code, uniformity no cube
     from .groupoid import Label
+    from .hypercube import Edge, HypercubeSkeleton
     from .mixture import MixtureSpec
+    from .skeleton import ObjectiveSkeleton
 
 PERTURBATION = np.diag([2.0, 1.0, 1.0])
 
@@ -52,7 +52,7 @@ def path_weight(T: ObjectiveSkeleton, walk: Sequence[int]) -> np.ndarray:
         axis = T.skel.adjacency_class(a, b)
         if axis is None:
             raise PathError(f"vertices {a} and {b} are not adjacent")
-        w = T.weight(Edge(min(a, b), axis))
+        w = T.weight((min(a, b), axis))
         total = (w if b > a else np.linalg.inv(w)) @ total
     return total
 
@@ -134,6 +134,8 @@ def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
 def skeleton_from_potential(n: int, phi: Sequence[np.ndarray],
                             vertices: Sequence[Label]) -> ObjectiveSkeleton:
     """Skeleton with edge weights phi[head] @ inv(phi[tail]); conservative."""
+    from .hypercube import HypercubeSkeleton
+    from .skeleton import ObjectiveSkeleton
     skel = HypercubeSkeleton(n)
     phi = np.asarray(phi, dtype=float)
     W = phi[skel.edge_heads] @ np.linalg.inv(phi)[skel.edge_arrays[0]]
@@ -160,6 +162,8 @@ def perturb_edge(T: ObjectiveSkeleton, seed=None
     For n >= 2 this breaks commutativity of exactly the faces incident to
     the chosen edge.
     """
+    from .hypercube import Edge
+    from .skeleton import ObjectiveSkeleton
     k = int(np.random.default_rng(seed).integers(T.skel.num_edges))
     W = T.W.copy()
     W[k] = PERTURBATION @ W[k]

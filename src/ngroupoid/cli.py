@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from .errors import CompositionError, NGroupoidError
-from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -58,6 +57,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_skeleton(args) -> int:
+    from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
     n = args.n
     if not 1 <= n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {n}")
@@ -152,6 +152,7 @@ def cmd_uniformity(args) -> int:
 def cmd_generate(args) -> int:
     import numpy as np
     from .analysis import perturb_edge, random_conservative
+    from .hypercube import MAX_DIMENSION
     from .skeleton import dump_skeleton
     if not 1 <= args.n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {args.n}")
@@ -165,6 +166,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify_theorem(args) -> int:
     from .analysis import theorem_sweep
+    from .hypercube import MAX_DIMENSION
     from .matrices import DEFAULT_TOL
     if not 2 <= args.n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 2..{MAX_DIMENSION}, got {args.n}")

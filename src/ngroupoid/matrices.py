@@ -156,8 +156,20 @@ def rel_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def close_to_any(ms: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each matrix in ``ms`` lies within ``tol`` of some matrix of ``stack``."""
-    return (rel_distances(np.asarray(ms)[..., None, :, :], stack) <= tol).any(axis=-1)
+    """Whether each matrix in ``ms`` lies within ``tol`` of some matrix of ``stack``.
+
+    Each is tested first against its nearest matrix in squared Frobenius
+    distance, and against all only if that fails, each pair by rel_distances.
+    """
+    rows, flat = np.asarray(ms, dtype=float).reshape(-1, 3, 3), stack.reshape(-1, 9)
+    hit = np.zeros(len(rows), dtype=bool)
+    if len(flat):
+        with np.errstate(all="ignore"):  # an overflow only spoils the pick
+            near = ((flat * flat).sum(1) - 2.0 * (rows.reshape(-1, 9) @ flat.T)).argmin(1)
+        hit = rel_distances(rows, stack[near]) <= tol
+        if not hit.all():
+            hit[~hit] = (rel_distances(rows[~hit, None], stack) <= tol).any(axis=-1)
+    return hit.reshape(np.shape(ms)[:-2])[()]
 
 
 def identity_deviations(ms: np.ndarray) -> np.ndarray:

@@ -8,11 +8,11 @@ facet to a matching source facet and multiplying the connecting weights.
 
 from __future__ import annotations
 
+import _signal  # signal's C core, already loaded; `import signal` builds enums at each start
 import contextlib
 import json
 import os
 import pickle
-import signal
 import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn
 
@@ -391,7 +391,7 @@ def _in_child(fn: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
             yield result
     finally:
         if not reaped:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, _signal.SIGKILL)
             os.waitpid(pid, 0)
 
 

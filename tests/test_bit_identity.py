@@ -5,16 +5,18 @@ every float and array, over conservative skeletons, perturbed ones, and ones
 with a single edge scaled by (1 + eps) for eps at and around the tolerance.
 The groupoid layer (arrow sets, membership, cores, group validation and
 validate_against) is compared the same way over the fixture mixtures and
-random mixtures over the 24-element cube rotation group, and the orbit
-sweep of is_uniform with the core test of every ordered pair.  The skeleton
-file writer is compared with json.dumps(indent=2) by exact string equality,
-the skeleton reader with its check-by-check loop on malformed records by
-exact error text, and the batched potential draws with drawing one matrix
-at a time.
+random mixtures over the 24-element cube rotation group, the orbit sweep
+of is_uniform with the core test of every ordered pair, and close_to_any,
+which tests the nearest candidate first, with the test of every pair.
+The skeleton file writer is compared with json.dumps(indent=2) by exact
+string equality, the skeleton reader with its check-by-check loop on
+malformed records by exact error text, and the batched potential draws
+with drawing one matrix at a time.
 """
 import collections
 import itertools
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +174,47 @@ def test_rel_distance_survives_overflowing_squares():
     assert rel_distances(a * big, b * big).tolist() == rel_distances(a, b).tolist()
 
 
+def close_to_any_cases():
+    rng = np.random.default_rng(9)
+    stack = random_invertible(rng, 24)
+    eps = np.array([0.0, 1e-16, 1e-12, 1e-9, 2e-9, 1e-3, 0.3])[:, None, None]
+    ms = np.concatenate([stack[rng.permutation(24)[:7]] * (1 + eps), random_invertible(rng, 6)])
+    a, b, c = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0 + 1e-8]), np.diag([1.0, 2.5, 3.0])
+    at = rel_distance(a, b)
+    eye, d = np.eye(3), np.diag([0.5, 0.0, 0.0])  # eye -+ d: one squared distance, two ratios
+    zero = np.zeros((3, 3))
+    big = stack * 1e300  # squared norms overflow
+    return [
+        *(pytest.param(ms, stack, tol, id=f"random-{tol:g}") for tol in (1e-16, 1e-9, 0.5)),
+        pytest.param(np.stack([a]), np.stack([c, b]), at, id="at-tolerance"),
+        pytest.param(np.stack([a]), np.stack([c, b]), np.nextafter(at, 0.0), id="below-tolerance"),
+        pytest.param(np.stack([eye]), np.stack([eye + d, eye - d]), 0.25, id="tie-passing-first"),
+        pytest.param(np.stack([eye]), np.stack([eye - d, eye + d]), 0.25, id="tie-failing-first"),
+        # 0.05 I is nearer, at ratio 0.95; 10 I is farther, at ratio 0.9
+        pytest.param(np.stack([eye]), np.stack([0.05 * eye, 10.0 * eye]), 0.92,
+                     id="nearest-fails-farther-passes"),
+        pytest.param(np.stack([zero, eye]), np.stack([zero, 2.0 * eye]), 0.5, id="zero-in-stack"),
+        pytest.param(np.stack([zero, zero]), np.stack([eye, -eye]), 1.0, id="zero-rows"),
+        pytest.param(np.concatenate([big[:7] * (1 + eps), stack[:3]]),
+                     np.concatenate([big[7:], stack[3:5]]), 1e-9, id="entries-near-1e300"),
+        pytest.param(ms, np.empty((0, 3, 3)), 0.5, id="empty-stack"),
+        pytest.param(np.empty((0, 3, 3)), stack, 0.5, id="empty-rows"),
+        pytest.param(ms[3], stack, 1e-9, id="single-member"),
+        pytest.param(ms[-1], stack, 1e-9, id="single-stranger"),
+        pytest.param(ms[:12].reshape(3, 4, 3, 3), stack, 1e-9, id="k-by-m"),
+    ]
+
+
+@pytest.mark.parametrize("ms, stack, tol", close_to_any_cases())
+def test_close_to_any_matches_every_pair(ms, stack, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = close_to_any(ms, stack, tol)
+        want = (rel_distances(ms[..., None, :, :], stack) <= tol).any(-1)
+    assert type(got) is type(want) and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 # -- groupoid layer --------------------------------------------------------------
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -192,6 +235,7 @@ def cube_rotations():
 CUBE = cube_rotations()
 C30, S30 = np.cos(np.pi / 6), np.sin(np.pi / 6)
 TILT = np.array([[C30, -S30, 0.0], [S30, C30, 0.0], [0.0, 0.0, 1.0]])  # not in CUBE
+RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 Z4 = [g for g in CUBE if g[2, 2] == 1.0]  # the rotations about the z axis
@@ -302,14 +346,21 @@ def test_group_validation_matches_reference(tol):
         wobble,
         [CUBE[i] for i in rng.permutation(24)],
         [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])],
+        # 48 and 72 elements: products are tested a few elements at a time
+        CUBE + [-g for g in CUBE],                    # the full octahedral group
+        CUBE + [2 * g for g in CUBE],                 # inverse missing at element 24
+        CUBE + [2 * g for g in CUBE] + [g / 2 for g in CUBE],  # product fails at element 24
+        [np.eye(3), RZ90, RZ90.T, TILT],              # product fails before an inverse is missing
+        [np.eye(3), TILT, RZ90, RZ90.T],              # inverse missing before a product fails
     ]
-    outcomes = set()
+    outcomes = []
     for elements in cases:
         want = ref.group_error(elements, tol)
         assert group_outcome(elements, tol) == want
-        outcomes.add(want)
+        outcomes.append(want)
     if tol == TOL:
-        assert len(outcomes) == 6  # valid plus all five messages
+        assert len(set(outcomes)) == 6  # valid plus all five messages
+        assert outcomes[-2:] == ["group not closed under product", "group not closed under inverse"]
 
 
 def test_validate_against_matches_reference():

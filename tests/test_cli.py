@@ -539,11 +539,15 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, argv, content, message)
 
 
 def write_inputs(directory: pathlib.Path) -> None:
-    """An n=3 skeleton c.json and a composable pair of 2-cubes a.json, b.json."""
+    """An n=3 skeleton c.json, a composable pair of 2-cubes a.json, b.json, the
+    fixture mixture_identical.json as m.json, and mc.json, a skeleton built from it."""
     A, B = analysis.random_composable_chain(2, 1, 2, seed=3)
     save_skeleton(A, str(directory / "a.json"))
     save_skeleton(B, str(directory / "b.json"))
     save_skeleton(analysis.random_conservative(3, seed=1), str(directory / "c.json"))
+    mixture = pathlib.Path(__file__).parent / "data" / "mixture_identical.json"
+    (directory / "m.json").write_text(mixture.read_text())
+    save_skeleton(build(load_mixture(str(mixture)), "XYXY"), str(directory / "mc.json"))
 
 
 # (verb arguments, first stdout line: what the verb printed before it wrote --out)
@@ -581,11 +585,17 @@ LOADED = [
      {"analysis", "cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
     (RUN_VERB.format(["compose", "a.json", "b.json", "--axis", "1", "--out", "ab.json"]),
      {"cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+    (RUN_VERB.format(["uniformity", "m.json"]),
+     {"analysis", "cli", "errors", "groupoid", "matrices", "mixture", "numpy"}),
+    (RUN_VERB.format(["check", "mc.json", "--mixture", "m.json"]),
+     {"analysis", "cli", "errors", "groupoid", "hypercube", "matrices", "mixture", "numpy",
+      "skeleton"}),
 ]
 
 
 @pytest.mark.parametrize("code, expected", LOADED, ids=[
-    "import", "submodule-attribute", "skeleton", "check", "generate", "compose"])
+    "import", "submodule-attribute", "skeleton", "check", "generate", "compose", "uniformity",
+    "check-mixture"])
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path, code, expected):
     write_inputs(tmp_path)
     report = ("import sys; print(*sorted(m.removeprefix('ngroupoid.') for m in sys.modules "
