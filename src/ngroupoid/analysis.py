@@ -20,6 +20,7 @@ from .matrices import (
     check_tolerance,
     close_to_any,
     identity_deviations,
+    inv,
     random_invertible,
     rel_distances,
 )
@@ -53,7 +54,7 @@ def path_weight(T: ObjectiveSkeleton, walk: Sequence[int]) -> np.ndarray:
         if axis is None:
             raise PathError(f"vertices {a} and {b} are not adjacent")
         w = T.weight((min(a, b), axis))
-        total = (w if b > a else np.linalg.inv(w)) @ total
+        total = (w if b > a else inv(w)) @ total
     return total
 
 
@@ -95,7 +96,7 @@ def is_conservative(T: ObjectiveSkeleton,
     corner, lo, hi, edges = T.skel.squares
     left = T.W[edges[:, 1]] @ T.W[edges[:, 0]]
     right = T.W[edges[:, 3]] @ T.W[edges[:, 2]]
-    holonomy = left @ np.linalg.inv(right)
+    holonomy = left @ inv(right)
     dev = identity_deviations(holonomy)
     witnesses = [
         FaceWitness(int(corner[k]), (int(lo[k]), int(hi[k])), holonomy[k].copy(), float(dev[k]))
@@ -125,7 +126,7 @@ def conservative_oracle(T: ObjectiveSkeleton, tol: float = DEFAULT_TOL) -> bool:
     phi = _potential(T)
     tails, heads = T.skel.edge_arrays[0], T.skel.edge_heads
     cotree = tails >= heads ^ tails  # tree edges end at a vertex whose highest bit is theirs
-    predicted = phi[heads[cotree]] @ np.linalg.inv(phi)[tails[cotree]]
+    predicted = phi[heads[cotree]] @ inv(phi)[tails[cotree]]
     return bool((rel_distances(T.W[cotree], predicted) <= tol).all())
 
 
@@ -138,7 +139,7 @@ def skeleton_from_potential(n: int, phi: Sequence[np.ndarray],
     from .skeleton import ObjectiveSkeleton
     skel = HypercubeSkeleton(n)
     phi = np.asarray(phi, dtype=float)
-    W = phi[skel.edge_heads] @ np.linalg.inv(phi)[skel.edge_arrays[0]]
+    W = phi[skel.edge_heads] @ inv(phi)[skel.edge_arrays[0]]
     return ObjectiveSkeleton(n, vertices, W)
 
 

@@ -28,6 +28,7 @@ from .matrices import (
     check_invertible,
     close_to_any,
     first_invalid,
+    inv,
     rel_distances,
 )
 
@@ -95,7 +96,7 @@ class SymmetryGroup:
             raise GroupValidationError("symmetry group lacks the identity")
         if np.triu(rel_distances(G[:, None], G) <= tol, 1).any():
             raise GroupValidationError("duplicate group elements")
-        has_inverse = close_to_any(np.linalg.inv(G), G, tol)
+        has_inverse = close_to_any(inv(G), G, tol)
         step = max(1, 2**14 // len(G) ** 2)  # elements per product test, of at most 2**14 pairs
         for i, ok in enumerate(has_inverse):
             if i % step == 0:
@@ -145,7 +146,7 @@ class ConstituentGroupoid:
         ky = self.implants.get(Y)
         if kx is None or ky is None:
             return np.empty((0, 3, 3))
-        A = (ky @ self.group.elements) @ np.linalg.inv(kx)
+        A = (ky @ self.group.elements) @ inv(kx)
         bad = first_invalid(A)
         if bad:
             raise FormatError(f"constituent {self.name!r}: arrow {X!r} -> {Y!r} {bad[1]}")

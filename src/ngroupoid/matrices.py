@@ -17,6 +17,7 @@ DET_THRESHOLD = 1e-12
 DEFAULT_TOL = 1e-9
 
 IDENTITY = np.eye(3)
+inv, det = np.linalg.inv, np.linalg.det  # every inverse and determinant; bits vary by BLAS kernel
 
 _SQRT3 = np.sqrt(3.0)
 _ROW_SHAPES = ((9,), (3, 3))
@@ -111,7 +112,7 @@ def random_invertible(rng: np.random.Generator, count: int) -> np.ndarray:
     done = 0
     while done < count:
         m = rng.uniform(-1.0, 1.0, size=(count - done, 3, 3))
-        m = m[np.abs(np.linalg.det(m)) > 0.1]
+        m = m[np.abs(det(m)) > 0.1]
         out[done:done + len(m)] = m
         done += len(m)
     return out
@@ -185,11 +186,11 @@ def first_invalid(ms: np.ndarray) -> tuple[int, str] | None:
     """
     finite = np.isfinite(ms).all(axis=(1, 2))
     with np.errstate(over="ignore"):  # an infinite determinant passes
-        det = np.linalg.det(ms if finite.all() else np.where(finite[:, None, None], ms, IDENTITY))
-    bad = np.flatnonzero(~finite | (np.abs(det) <= DET_THRESHOLD))
+        dets = det(ms if finite.all() else np.where(finite[:, None, None], ms, IDENTITY))
+    bad = np.flatnonzero(~finite | (np.abs(dets) <= DET_THRESHOLD))
     if not len(bad):
         return None
     k = int(bad[0])
     if not finite[k]:
         return k, "has non-finite entries"
-    return k, f"is numerically singular (det={det[k]:.3e})"
+    return k, f"is numerically singular (det={dets[k]:.3e})"

@@ -28,6 +28,7 @@ from .matrices import (
     check_tolerance,
     close_to_any,
     first_invalid,
+    inv,
     matrices,
     rel_distances,
 )
@@ -217,7 +218,7 @@ def inverse_axis(T: ObjectiveSkeleton, axis: int) -> ObjectiveSkeleton:
     tails, axes = T.skel.edge_arrays
     bit, glue = T.skel.axis_bit(axis), axes == axis
     W = T.W[T.skel.edge_index[np.where(glue, tails, tails ^ bit), axes - 1]]
-    W[glue] = np.linalg.inv(W[glue])
+    W[glue] = inv(W[glue])
     return ObjectiveSkeleton(T.n, [T.vertices[v ^ bit] for v in T.skel.vertices], W)
 
 

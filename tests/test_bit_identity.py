@@ -11,7 +11,9 @@ which tests the nearest candidate first, with the test of every pair.
 The skeleton file writer is compared with json.dumps(indent=2) by exact
 string equality, the skeleton reader with its check-by-check loop on
 malformed records by exact error text, and the batched potential draws
-with drawing one matrix at a time.
+with drawing one matrix at a time.  Two property tests draw their cases:
+close_to_any at the tolerance edge of stacks whose norms span six decades,
+and the reader on files damaged by random record edits.
 """
 import collections
 import itertools
@@ -20,6 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import scalar_reference as ref
 from ngroupoid import analysis
@@ -213,6 +216,43 @@ def test_close_to_any_matches_every_pair(ms, stack, tol):
         want = (rel_distances(ms[..., None, :, :], stack) <= tol).any(-1)
     assert type(got) is type(want) and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@st.composite
+def stack_and_rows(draw):
+    """Rows at the tolerance edge of a stack with norms from 1e-3 to 1e3, far rows, and tol.
+
+    An edge row is a stack element moved by tol * (1 + k * 2**-52) times its
+    norm, for k in -4..4, straight toward the origin or off that line by a
+    drawn amount: its relative distance lies within a few ulps of tol.  Over
+    norms this wide, the candidate nearest in squared distance is at times
+    not the one within tol (in about one example in ten), and the test of
+    every candidate decides.
+    """
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    norms = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8)))
+    stack = rng.standard_normal((len(norms), 3, 3))
+    stack *= (norms / np.linalg.norm(stack, axis=(1, 2)))[:, None, None]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            s = stack[draw(st.integers(0, len(stack) - 1))]
+            off = draw(st.just(0.0) | st.floats(0.0, 1.0))  # 0: straight toward the origin
+            step = off * rng.standard_normal((3, 3)) - s / np.linalg.norm(s)
+            t = tol * (1 + draw(st.integers(-4, 4)) * 2.0**-52)
+            rows.append(s + t * np.linalg.norm(s) / np.linalg.norm(step) * step)
+        else:
+            far = rng.standard_normal((3, 3))
+            rows.append(far * 10.0 ** draw(st.floats(-3.0, 3.0)) / np.linalg.norm(far))
+    return np.array(rows), stack, tol
+
+
+@given(stack_and_rows())
+def test_close_to_any_matches_every_pair_at_the_tolerance_edge(case):
+    rows, stack, tol = case
+    want = (rel_distances(rows[:, None], stack) <= tol).any(-1)
+    assert close_to_any(rows, stack, tol).tolist() == want.tolist()
 
 
 # -- groupoid layer --------------------------------------------------------------
@@ -661,3 +701,42 @@ def test_reader_matches_reference_on_edge_records(case):
     got, want = _read(skeleton_from_dict, doc), _read(ref.skeleton_from_dict, doc)
     assert got == want
     assert isinstance(got, str) == (case not in ACCEPTED)
+
+
+BAD_WEIGHTS = {
+    "nan": lambda w: w[:4] + [float("nan")] + w[5:],
+    "inf": lambda w: w[:4] + [float("-inf")] + w[5:],
+    "string": lambda w: w[:4] + ["1.0"] + w[5:],
+    "8 entries": lambda w: w[:8],
+    "singular": lambda w: w[:6] + w[3:6],  # two equal rows
+}
+
+
+@st.composite
+def record_edits(draw, edges):
+    """One edit of an edge list in place: drop, repeat or swap records, retype or spoil one."""
+    if not edges:
+        return
+    i, j = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, len(edges) - 1))
+    kind = draw(st.sampled_from(["drop", "repeat", "swap", "retype", "weight"]))
+    if kind == "drop":
+        del edges[i]
+    elif kind == "repeat":
+        edges.insert(j, dict(edges[i]))
+    elif kind == "swap":
+        edges[i], edges[j] = edges[j], edges[i]
+    elif kind == "retype":
+        rec, key = edges[i], draw(st.sampled_from(["tail", "axis"]))
+        retype = draw(st.sampled_from([str, float, bool, lambda v: None]))
+        rec[key] = retype(rec[key]) if type(rec[key]) is int else None  # retyped before
+    else:
+        spoil = BAD_WEIGHTS[draw(st.sampled_from(list(BAD_WEIGHTS)))]
+        edges[i]["weight"] = spoil(edges[i]["weight"])
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_reader_matches_reference_on_damaged_files(n, seed, data):
+    doc = skeleton_to_dict(random_conservative(n, seed=seed))
+    for _ in range(data.draw(st.integers(1, 4))):
+        data.draw(record_edits(doc["edges"]))
+    assert _read(skeleton_from_dict, doc) == _read(ref.skeleton_from_dict, doc)
