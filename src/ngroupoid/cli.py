@@ -87,10 +87,13 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .analysis import conservative_oracle, is_conservative
-    from .matrices import DEFAULT_TOL
-    from .skeleton import load_skeleton
-    T = load_skeleton(args.skeleton_file)
+    from .lean import read_in_child
+    path = args.skeleton_file
+    with read_in_child(path) as lean:  # a large file is read in a child while numpy loads
+        from .analysis import conservative_oracle, is_conservative
+        from .matrices import DEFAULT_TOL
+        from .skeleton import skeleton_from_lean
+        T = skeleton_from_lean(lean(), path)
     tol = args.tol
     if args.mixture:
         from .mixture import load_mixture

@@ -8,19 +8,18 @@ facet to a matching source facet and multiplying the connecting weights.
 
 from __future__ import annotations
 
-import _signal  # signal's C core, already loaded; `import signal` builds enums at each start
 import contextlib
 import json
-import os
+import marshal
 import pickle
-import warnings
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 import numpy as np
 
 from .errors import (CompositionError, ConstructionHalted, FormatError,
                      UnknownBasePointError, read_json)
 from .hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
+from .lean import _in_child, edge_records
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
@@ -197,7 +196,8 @@ def compose(T: ObjectiveSkeleton, Tp: ObjectiveSkeleton, axis: int,
     tails, axes = T.skel.edge_arrays
     bit, glue = T.skel.axis_bit(axis), axes == axis
     W = np.where((tails & bit != 0)[:, None, None], T.W, Tp.W)
-    with np.errstate(over="ignore"):  # an overflowing product fails the weight check
+    # an overflowing product fails the weight check; inf - inf in it is NaN on some BLAS kernels
+    with np.errstate(over="ignore", invalid="ignore"):
         W[glue] = T.W[glue] @ Tp.W[glue]
     return ObjectiveSkeleton(T.n, [(T if v & bit else Tp).vertices[v] for v in T.skel.vertices], W)
 
@@ -299,23 +299,11 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise FormatError("skeleton: 'edges' must be a list")
-    index = skel.edge_index.tolist()
-    record = [-1] * skel.num_edges  # edge position -> record index
-    rows: list = []  # rows[idx] is the weight of edges[idx]
-    for idx, rec in enumerate(edges):
-        if isinstance(rec, dict) and "tail" in rec and "axis" in rec and "weight" in rec:
-            tail, axis = rec["tail"], rec["axis"]
-            if type(tail) is int and type(axis) is int and 1 <= axis <= n \
-                    and 0 <= tail < len(index):
-                k = index[tail][axis - 1]  # -1 where tail has the axis bit
-                if k >= 0 and record[k] < 0:
-                    record[k] = idx
-                    rows.append(rec["weight"])
-                    continue
-        break  # edges[len(rows)] is no new edge
-    else:
+    rows, slots = edge_records(n, edges)
+    record = [r for r in slots if r >= 0]  # edge position -> record index, once all are found
+    if len(rows) == len(edges) == skel.num_edges:
         W = matrices(rows)
-        if W is not None and len(rows) == skel.num_edges:
+        if W is not None:
             with contextlib.suppress(ValueError):  # a bad weight is named below
                 return ObjectiveSkeleton(n, vertices, W[record])
     # The first fault, in this order: a bad weight among the accepted rows,
@@ -327,7 +315,7 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if len(rows) < len(edges):
         _reject_record(skel, len(rows), edges[len(rows)])
     if len(rows) < skel.num_edges:
-        missing = [e for e, r in zip(skel.edges(), record) if r < 0]
+        missing = [e for e in skel.edges() if slots[e.tail * n + e.axis - 1] < 0]
         raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
     return ObjectiveSkeleton(n, vertices, W[record])
 
@@ -341,59 +329,6 @@ _EDGE_RECORD = ('    {\n      "tail": %d,\n      "axis": %d,\n      "weight": [\
 # each half holds at least this many; below that the fork costs more than the
 # half saves (the n=11 and n=12 files split, the n <= 10 ones do not).
 _SPLIT_RECORDS = 4096
-
-
-@contextlib.contextmanager
-def _in_child(fn: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
-    """Run ``fn`` in a forked child while the block runs; yield a getter of its bytes.
-
-    The getter waits for the child and returns the bytes ``fn`` returned
-    there.  Where the child failed, or this platform cannot fork, the getter
-    runs ``fn`` here instead, so its result or error is that of ``fn``
-    alone.  Leaving the block before the getter returned, by an exception or
-    an interrupt, kills and reaps the child.
-    """
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork while other threads run, and numpy's
-            # BLAS pool counts.  That is safe here: the child only formats or
-            # parses, then leaves by os._exit, which runs no atexit hook and
-            # flushes none of this process's stdio buffers.
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except (AttributeError, OSError):  # no os.fork here, or no process to spare
-        os.close(r)
-        os.close(w)
-        yield fn
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                out.write(fn())
-            status = 0
-        finally:
-            os._exit(status)
-    reaped = False
-
-    def result() -> bytes:
-        nonlocal reaped
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        return data if status == 0 else fn()
-
-    try:
-        os.close(w)
-        with open(r, "rb") as pipe:
-            yield result
-    finally:
-        if not reaped:
-            os.kill(pid, _signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def dump_skeleton(T: ObjectiveSkeleton) -> str:
@@ -426,6 +361,18 @@ def save_skeleton(T: ObjectiveSkeleton, path: str) -> None:
 
 def load_skeleton(path: str) -> ObjectiveSkeleton:
     return skeleton_from_dict(read_json(path))
+
+
+def skeleton_from_lean(lean: bytes, path: str) -> ObjectiveSkeleton:
+    """load_skeleton(path), built from ``lean``, the bytes lean.lean_skeleton(path) returned.
+
+    Where those are b"", or a weight fails the check, load_skeleton reads the file.
+    """
+    if lean:
+        n, vertices, weights = marshal.loads(lean)
+        with contextlib.suppress(ValueError):
+            return ObjectiveSkeleton(n, vertices, np.frombuffer(weights).reshape(-1, 3, 3))
+    return load_skeleton(path)
 
 
 def load_skeletons(first: str, second: str) -> tuple[ObjectiveSkeleton, ObjectiveSkeleton]:

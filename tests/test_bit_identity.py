@@ -17,7 +17,9 @@ and the reader on files damaged by random record edits.
 """
 import collections
 import itertools
+import json
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
@@ -45,6 +47,7 @@ from ngroupoid.errors import (
 )
 from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.hypercube import HypercubeSkeleton
+from ngroupoid.lean import lean_skeleton
 from ngroupoid.matrices import DEFAULT_TOL as TOL
 from ngroupoid.matrices import (
     close_to_any,
@@ -62,6 +65,7 @@ from ngroupoid.skeleton import (
     dump_skeleton,
     inverse_axis,
     skeleton_from_dict,
+    skeleton_from_lean,
     skeleton_to_dict,
     source_facet,
     target_facet,
@@ -100,6 +104,25 @@ def test_face_check_matches_reference(n):
             assert np.array_equal(got.holonomy, want.holonomy)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.data())
+def test_face_check_matches_reference_on_random_skeletons(n, seed, data):
+    # one edge perturbed: by diag(2, 1, 1), or scaled by 1 + eps for eps around the tolerance
+    T = random_conservative(n, seed)
+    W = T.W.copy()
+    k = data.draw(st.integers(0, len(W) - 1))
+    if data.draw(st.booleans()):
+        W[k] = analysis.PERTURBATION @ W[k]
+    else:
+        W[k] *= 1 + TOL * 2.0 ** data.draw(st.integers(-3, 3))
+    T = ObjectiveSkeleton(n, T.vertices, W)
+    rep = is_conservative(T)
+    verdict, witnesses, max_dev = ref.is_conservative(T)
+    assert (rep.verdict, rep.max_deviation) == (verdict, max_dev)
+    assert witness_fields(rep.witnesses) == witness_fields(witnesses)
+    assert all(np.array_equal(got.holonomy, want.holonomy)
+               for got, want in zip(rep.witnesses, witnesses))
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
@@ -674,6 +697,8 @@ RECORD_CASES = {
     "duplicate in place": lambda e: e.__setitem__(3, dict(e[0])),
     "bad weight before a fault": lambda e: (_set(e[1], weight=[0.0] * 9), _set(e[3], axis=9)),
     "short weight before a fault": lambda e: (_set(e[1], weight=[1.0] * 8), e.append(dict(e[0]))),
+    "weights of 8 and 10 entries": lambda e: (_set(e[1], weight=e[1]["weight"][:8]),
+                                              _set(e[2], weight=e[2]["weight"] + [1.0])),
     "bad weight after a fault": lambda e: (_set(e[1], axis=9), _set(e[3], weight=[0.0] * 9)),
     "bad weight at the fault": lambda e: _set(e[2], tail=4, axis=1, weight=[0.0] * 9),
     "bad weight, no fault": lambda e: _set(e[4], weight=[1.0] * 9),
@@ -694,12 +719,21 @@ def _read(reader, doc):
         return str(exc)
 
 
+def read_as_check(doc):
+    """The skeleton in doc as check reads it: from a file, by the lean reader first."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(pathlib.Path(directory) / "skeleton.json")
+        pathlib.Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        return skeleton_from_lean(lean_skeleton(path), path)
+
+
 @pytest.mark.parametrize("case", RECORD_CASES)
 def test_reader_matches_reference_on_edge_records(case):
     doc = skeleton_to_dict(random_conservative(3, seed=3))
     RECORD_CASES[case](doc["edges"])
     got, want = _read(skeleton_from_dict, doc), _read(ref.skeleton_from_dict, doc)
     assert got == want
+    assert _read(read_as_check, doc) == want
     assert isinstance(got, str) == (case not in ACCEPTED)
 
 
@@ -739,4 +773,6 @@ def test_reader_matches_reference_on_damaged_files(n, seed, data):
     doc = skeleton_to_dict(random_conservative(n, seed=seed))
     for _ in range(data.draw(st.integers(1, 4))):
         data.draw(record_edits(doc["edges"]))
-    assert _read(skeleton_from_dict, doc) == _read(ref.skeleton_from_dict, doc)
+    want = _read(ref.skeleton_from_dict, doc)
+    assert _read(skeleton_from_dict, doc) == want
+    assert _read(read_as_check, doc) == want

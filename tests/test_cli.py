@@ -580,16 +580,16 @@ LOADED = [
     ("import ngroupoid; ngroupoid.hypercube", {"hypercube", "numpy"}),
     (RUN_VERB.format(["skeleton", "--n", "1"]), {"cli", "errors", "hypercube", "numpy"}),
     (RUN_VERB.format(["check", "c.json"]),
-     {"analysis", "cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+     {"analysis", "cli", "errors", "hypercube", "lean", "matrices", "numpy", "skeleton"}),
     (RUN_VERB.format(["generate", "--n", "2", "--out", "g.json"]),
-     {"analysis", "cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+     {"analysis", "cli", "errors", "hypercube", "lean", "matrices", "numpy", "skeleton"}),
     (RUN_VERB.format(["compose", "a.json", "b.json", "--axis", "1", "--out", "ab.json"]),
-     {"cli", "errors", "hypercube", "matrices", "numpy", "skeleton"}),
+     {"cli", "errors", "hypercube", "lean", "matrices", "numpy", "skeleton"}),
     (RUN_VERB.format(["uniformity", "m.json"]),
      {"analysis", "cli", "errors", "groupoid", "matrices", "mixture", "numpy"}),
     (RUN_VERB.format(["check", "mc.json", "--mixture", "m.json"]),
-     {"analysis", "cli", "errors", "groupoid", "hypercube", "matrices", "mixture", "numpy",
-      "skeleton"}),
+     {"analysis", "cli", "errors", "groupoid", "hypercube", "lean", "matrices", "mixture",
+      "numpy", "skeleton"}),
 ]
 
 

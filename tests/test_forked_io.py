@@ -1,14 +1,14 @@
-"""The skeleton writer's split and compose's second reader, both run in a forked child.
+"""The work run in a forked child: the skeleton writer's second half, compose's
+second reader, check's reader, and the second half of the face check.
 
 Whatever the child does, the bytes, the error text and the exit code are
 those of the one-process path, and no child outlives the call.
 """
 
+import contextlib
+import io
 import json
 import os
-import pathlib
-import subprocess
-import sys
 import threading
 import time
 import warnings
@@ -16,24 +16,31 @@ import warnings
 import numpy as np
 import pytest
 
-import ngroupoid
+import ngroupoid.lean as lean_module
 import ngroupoid.skeleton as skeleton_module
 import scalar_reference as ref
-from ngroupoid import matrices
-from ngroupoid.analysis import random_composable_chain, random_conservative
+from ngroupoid import analysis, cli, matrices
+from ngroupoid.analysis import (
+    PERTURBATION,
+    is_conservative,
+    random_composable_chain,
+    random_conservative,
+)
 from ngroupoid.errors import FormatError
+from ngroupoid.lean import _in_child, lean_skeleton
 from ngroupoid.skeleton import (
     ObjectiveSkeleton,
-    _in_child,
     compose,
     dump_skeleton,
     load_skeleton,
     load_skeletons,
     save_skeleton,
+    skeleton_from_lean,
     skeleton_to_dict,
 )
 
 from test_bit_identity import LABELS
+from test_cli import run_python
 
 SPLIT_N = 11  # the smallest n whose halves hold _SPLIT_RECORDS edge records each
 
@@ -60,6 +67,19 @@ def forks(monkeypatch):
     return calls
 
 
+def failing_fork(monkeypatch):
+    """Make every os.fork in this process start a child that fails at once."""
+    fork = os.fork
+
+    def failing_child():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_child)
+
+
 @pytest.fixture(scope="module")
 def cube12():
     return random_conservative(12, seed=12)
@@ -82,15 +102,7 @@ def test_split_without_fork_gives_the_same_bytes(monkeypatch, cube12):
 
 
 def test_split_with_a_failing_child_gives_the_same_bytes(monkeypatch, cube12):
-    fork = os.fork
-
-    def failing_child():
-        pid = fork()
-        if pid == 0:
-            os._exit(3)
-        return pid
-
-    monkeypatch.setattr(os, "fork", failing_child)
+    failing_fork(monkeypatch)
     assert dump_skeleton(cube12) == ref.dump_skeleton(cube12)
     assert no_children_left()
 
@@ -187,6 +199,10 @@ def test_no_child_outlives_a_verb(run_cli, tmp_path, capsys):
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ab.json"
     assert run_cli("generate", "--n", 12, "--seed", 1, "--out", a) == (0, "")
     assert no_children_left()
+    assert run_cli("check", a)[0] == 0  # one child reads, another checks half the faces
+    assert no_children_left()
+    assert run_cli("check", tmp_path / "missing.json") == (2, "")
+    assert no_children_left()
     units = np.tile(np.eye(3), (len(load_skeleton(str(a)).W), 1, 1))
     save_skeleton(ObjectiveSkeleton(12, ["X"] * 4096, units), str(b))  # composes with itself
     assert run_cli("compose", b, b, "--axis", 1, "--out", out) == (0, "")
@@ -219,10 +235,177 @@ def compose_inputs(tmp_path):
 ], ids=["first-bad", "second-bad", "both-bad"])
 def test_compose_input_error_is_one_line(compose_inputs, first, second, message):
     # a subprocess, because only the interpreter's own exit shows what a child printed
-    src = str(pathlib.Path(ngroupoid.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "ngroupoid", "compose", str(compose_inputs[first]),
-                           str(compose_inputs[second]), "--axis", "1"],
-                          capture_output=True, text=True, env=env)
+    proc = run_python(["-m", "ngroupoid", "compose", str(compose_inputs[first]),
+                       str(compose_inputs[second]), "--axis", "1"], compose_inputs["a"].parent)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: " + message.format(bad_json=compose_inputs["bad_json"]) + "\n"
+
+
+# -- check: the reader forked before numpy loads, the face check in two halves --
+
+def with_weights(T, weight) -> dict:
+    """T's document with every weight w replaced by weight(w), a list of 9 floats."""
+    doc = skeleton_to_dict(T)
+    for rec in doc["edges"]:
+        rec["weight"] = weight(rec["weight"])
+    return doc
+
+
+def integer_weights(T) -> dict:
+    """Integer weights; a few beyond 2**53, where the reader has to round them to float64."""
+    doc = with_weights(T, lambda w: [round(x * 2**30) for x in w])
+    doc["edges"][0]["weight"][:3] = [2**60 + 1, -(2**64 + 3), 2**700 + 1]
+    return doc
+
+
+def spoiled(T, edit) -> dict:
+    doc = skeleton_to_dict(T)
+    edit(doc)
+    return doc
+
+
+T3 = random_conservative(3, seed=5)
+
+# name -> the content of the file check reads: a document, raw text, or None for no file
+CHECK_INPUTS = {
+    "n1": skeleton_to_dict(random_conservative(1, seed=1)),
+    "n3": skeleton_to_dict(T3),
+    "n3-perturbed": skeleton_to_dict(analysis.perturb_edge(T3, seed=1)[0]),
+    "nested-3x3-weights": with_weights(T3, lambda w: [w[:3], w[3:6], w[6:]]),
+    "integer-weights": integer_weights(T3),
+    "integer-above-1e308": spoiled(T3, lambda d: d["edges"][4]["weight"].__setitem__(2, 10**309)),
+    "nan-weight": spoiled(T3, lambda d: d["edges"][4]["weight"].__setitem__(2, float("nan"))),
+    "bool-weight": spoiled(T3, lambda d: d["edges"][4]["weight"].__setitem__(2, True)),
+    "duplicate-record": spoiled(T3, lambda d: d["edges"].insert(3, dict(d["edges"][0]))),
+    "nested-and-escaped-labels": skeleton_to_dict(ObjectiveSkeleton(3, LABELS[2] + LABELS[3], T3.W)),
+    "n13": {"n": 13, "vertices": list(range(2**13)),  # whole, but above the cap
+            "edges": [{"tail": t, "axis": a, "weight": np.eye(3).ravel().tolist()}
+                      for t in range(2**13) for a in range(1, 14) if not t >> (13 - a) & 1]},
+    "missing-file": None,
+    "bad-json": "{nope",
+}
+# the inputs check rejects, and those the child leaves to the full reader
+INPUT_ERRORS = {"integer-above-1e308", "nan-weight", "bool-weight", "duplicate-record", "n13",
+                "missing-file", "bad-json"}
+FULL_READER = INPUT_ERRORS - {"nan-weight", "n13"} | {"nested-3x3-weights"}
+
+
+@pytest.fixture(scope="module")
+def check_files(tmp_path_factory):
+    """The CHECK_INPUTS as files, and an n=12 file whose face check fails in both halves."""
+    directory = tmp_path_factory.mktemp("check")
+    paths = {name: directory / f"{name}.json" for name in [*CHECK_INPUTS, "n12"]}
+    for name, content in CHECK_INPUTS.items():
+        if content is not None:
+            text = content if isinstance(content, str) else json.dumps(content)
+            paths[name].write_text(text, encoding="utf-8")
+    T = random_conservative(12, seed=3)
+    W = T.W.copy()
+    W[[0, -1]] = PERTURBATION @ W[[0, -1]]  # one edge among the first squares, one the last
+    save_skeleton(ObjectiveSkeleton(12, T.vertices, W), str(paths["n12"]))
+    return paths
+
+
+def run_check(path, out) -> tuple[int, str, str, bytes | None]:
+    """check in process: exit code, stdout, stderr and the --out bytes, if written."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["check", str(path), "--out", str(out)])
+    report = out.read_bytes() if out.exists() else None
+    if report is not None:
+        out.unlink()
+    return code, stdout.getvalue(), stderr.getvalue(), report
+
+
+@pytest.mark.parametrize("fork", ["fork", "no-fork", "failing-child"])
+@pytest.mark.parametrize("name", [*CHECK_INPUTS, "n12"])
+def test_check_matches_load_skeleton_in_one_process(monkeypatch, tmp_path, check_files,
+                                                    name, fork):
+    path, out = check_files[name], tmp_path / "report.json"
+    with monkeypatch.context() as one_process:
+        one_process.delattr(os, "fork")
+        one_process.setattr(skeleton_module, "skeleton_from_lean",
+                            lambda lean, path: load_skeleton(path))
+        want = run_check(path, out)
+    monkeypatch.setattr(lean_module, "_LEAN_BYTES", 0)  # every file through the child's reader
+    if fork == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif fork == "failing-child":
+        failing_fork(monkeypatch)
+    assert run_check(path, out) == want
+    assert no_children_left()
+    assert (want[0] == 2) == (name in INPUT_ERRORS)
+
+
+def test_check_builds_from_the_child_where_the_file_is_whole(monkeypatch, check_files):
+    for name in CHECK_INPUTS:
+        path = str(check_files[name])
+        lean = lean_skeleton(path)
+        assert (lean == b"") == (name in FULL_READER), name
+        if name in FULL_READER:
+            continue
+        reads = []
+        with monkeypatch.context() as m:
+            m.setattr(skeleton_module, "load_skeleton", reads.append)
+            T = skeleton_from_lean(lean, path)
+        # a weight that fails the check, or a dimension above the cap, is read again
+        assert reads == ([path] if name in INPUT_ERRORS else []), name
+        if not reads:
+            assert T == load_skeleton(path)
+            assert not T.W.flags.writeable
+
+
+@pytest.mark.parametrize("name, seen", [
+    ("n12", "[False, True, 1]"),  # the reader, then the second half of the face check
+    ("n3", "[0]"),  # below _LEAN_BYTES: read in this process
+])
+def test_check_forks_its_reader_before_numpy_loads(check_files, name, seen):
+    # a fresh interpreter, since this one has numpy loaded already
+    code = ("import os, sys\n"
+            "fork, seen = os.fork, []\n"
+            "def recorded():\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = recorded\n"
+            "from ngroupoid.cli import main\n"
+            "seen.append(main(['check', sys.argv[1]]))\n"
+            "print(seen, file=sys.stderr)\n")
+    proc = run_python(["-c", code, str(check_files[name])], check_files[name].parent)
+    assert proc.stderr.splitlines()[-1] == seen
+
+
+@pytest.fixture(scope="module")
+def cube12_perturbed(cube12):
+    """cube12 with one edge perturbed among the first squares, one among the last, and both."""
+    out = []
+    for rows in ([0], [-1], [0, -1]):
+        W = cube12.W.copy()
+        W[rows] = PERTURBATION @ W[rows]
+        out.append(ObjectiveSkeleton(12, cube12.vertices, W))
+    return out
+
+
+def test_split_face_check_matches_one_batch(monkeypatch, forks, cube12, cube12_perturbed):
+    half = len(cube12.skel.squares[0]) // 2
+    assert half >= analysis._SPLIT_SQUARES
+    for T in [cube12, *cube12_perturbed]:
+        split = is_conservative(T)
+        with monkeypatch.context() as one_batch:
+            one_batch.setattr(analysis, "_SPLIT_SQUARES", half + 1)
+            whole = is_conservative(T)
+        assert split.verdict == whole.verdict
+        assert split.max_deviation == whole.max_deviation
+        assert [(w.corner, w.axes, w.deviation) for w in split.witnesses] == \
+            [(w.corner, w.axes, w.deviation) for w in whole.witnesses]
+        assert all(np.array_equal(a.holonomy, b.holonomy)
+                   for a, b in zip(split.witnesses, whole.witnesses))
+    assert len(forks) == 4 and no_children_left()
+    corners = [{w.corner < cube12.skel.squares[0][half] for w in is_conservative(T).witnesses}
+               for T in cube12_perturbed]
+    assert corners == [{True}, {False}, {True, False}]  # witnesses in the first, second, both halves
+
+
+def test_face_check_splits_from_n10(forks):
+    for n in (9, 10):
+        assert is_conservative(random_conservative(n, seed=n)).verdict
+    assert len(forks) == 1  # at n=10, not at n=9
