@@ -89,12 +89,6 @@ class ConservativityReport:
         }
 
 
-# is_conservative checks the second half of the squares in a forked child when
-# each half holds at least this many; below that the fork costs more than the
-# half saves (the face checks of n >= 10 split, those of n <= 9 do not).
-_SPLIT_SQUARES = 4096
-
-
 def _face_check(T: ObjectiveSkeleton, part: slice, tol: float) -> tuple[list[FaceWitness], float]:
     """The face check of the squares in ``part``: witnesses, and the largest deviation but NaN."""
     corner, lo, hi, edges = (a[part] for a in T.skel.squares)
@@ -116,17 +110,11 @@ def is_conservative(T: ObjectiveSkeleton,
     Each square is checked on its own, so a large check runs in two halves,
     the second in a forked child, and gives the bits of one batch.
     """
+    from .lean import in_halves  # uniformity loads this module, but no forking code
     tol = check_tolerance(tol)
-    half = len(T.skel.squares[0]) // 2
-    if half < _SPLIT_SQUARES:
-        witnesses, max_dev = _face_check(T, slice(None), tol)
-    else:  # uniformity loads this module, but none of the forking code
-        import pickle
-        from .lean import _in_child
-        with _in_child(lambda: pickle.dumps(_face_check(T, slice(half, None), tol))) as rest:
-            witnesses, max_dev = _face_check(T, slice(half), tol)
-            more, more_max = pickle.loads(rest())
-        witnesses, max_dev = witnesses + more, max(max_dev, more_max)
+    parts = in_halves(lambda part: _face_check(T, part, tol), len(T.skel.squares[0]))
+    witnesses = [w for ws, _ in parts for w in ws]
+    max_dev = max(dev for _, dev in parts)
     return ConservativityReport(not witnesses, witnesses, max_dev)
 
 

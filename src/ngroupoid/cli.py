@@ -193,9 +193,13 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    from .matrices import DEFAULT_TOL
-    from .skeleton import compose, dump_skeleton, load_skeletons
-    first, second = load_skeletons(args.first, args.second)
+    from .lean import read_in_child
+    # large files are read in children while numpy loads; the first file's error comes first
+    with read_in_child(args.first) as lean_first, read_in_child(args.second) as lean_second:
+        from .matrices import DEFAULT_TOL
+        from .skeleton import compose, dump_skeleton, skeleton_from_lean
+        first = skeleton_from_lean(lean_first(), args.first)
+        second = skeleton_from_lean(lean_second(), args.second)
     if not 1 <= args.axis <= max(first.n, second.n):
         return _fail(f"--axis must lie in 1..{max(first.n, second.n)}, got {args.axis}")
     tol = DEFAULT_TOL if args.tol is None else args.tol

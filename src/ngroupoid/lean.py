@@ -1,6 +1,6 @@
-"""Numpy-free code: the skeleton reader's record loop, a read of a whole
-skeleton file without numpy, and a forked child that runs work beside this
-process.  ``check`` forks its reader before numpy loads.
+"""Numpy-free code: the skeleton reader's record loop, the one packing of a good
+file's weights (here or in a child), and forked children that work beside this
+process: a file's reader, forked only before numpy loads, and a batch's second half.
 """
 
 from __future__ import annotations
@@ -8,8 +8,10 @@ from __future__ import annotations
 import _signal  # signal's C core, already loaded; `import signal` builds enums at each start
 import contextlib
 import os
+import sys
 import warnings
 from collections.abc import Callable, Iterator
+from itertools import chain
 
 from .errors import FormatError, read_json
 
@@ -38,41 +40,44 @@ def edge_records(n: int, edges: list) -> tuple[list, list[int]]:
     return rows, slots
 
 
-def lean_skeleton(path: str) -> bytes:
-    """A whole skeleton file as marshalled (n, vertices, weights), read without numpy.
+def packed_skeleton(doc: object) -> tuple[int, list, bytes] | None:
+    """A parsed skeleton document as (n, vertices, weights), packed without numpy; else None.
 
     The weights are one float64 buffer in edge order, not checked for
     finiteness or invertibility.  A fault, or a weight that is not 9 plain
-    ints or floats in the float range, gives b"": the full reader names it.
+    ints or floats in the float range, gives None: the full reader names it.
     """
-    import marshal
     from array import array
-    from itertools import chain
-    try:
-        doc = read_json(path)
-    except FormatError:
-        return b""
     n, vertices, edges = (doc.get(k) for k in ("n", "vertices", "edges")) \
         if isinstance(doc, dict) else (None, None, None)
     # 2**n vertices, tested without computing 2**n for a huge n
     if type(n) is not int or n < 1 or not isinstance(vertices, list) \
             or len(vertices).bit_length() != n + 1 or len(vertices) != 1 << n \
             or not isinstance(edges, list):
-        return b""
+        return None
     rows, slots = edge_records(n, edges)
     weights = [rows[r] for r in slots if r >= 0]
     if not len(rows) == len(edges) == n << (n - 1) \
             or set(map(type, weights)) != {list} or set(map(len, weights)) != {9} \
             or not set(map(type, chain.from_iterable(weights))) <= {int, float}:
-        return b""
+        return None
     try:
-        flat = array("d", chain.from_iterable(weights))
+        return n, vertices, array("d", chain.from_iterable(weights)).tobytes()
     except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def lean_skeleton(path: str) -> bytes:
+    """packed_skeleton of a skeleton file, marshalled; b"" for None or an unreadable file."""
+    import marshal
+    try:
+        packed = packed_skeleton(read_json(path))
+    except FormatError:
         return b""
-    return marshal.dumps((n, vertices, flat.tobytes()))
+    return marshal.dumps(packed) if packed else b""
 
 
-# check reads a skeleton file in a child only from this size on; below it the
+# a skeleton file is read in a child only from this size on; below it the
 # fork costs more than the parse it overlaps with numpy's import (a generated
 # n=9 file holds about 0.75 MB, an n=8 file 0.34 MB)
 _LEAN_BYTES = 1 << 19
@@ -81,13 +86,33 @@ _LEAN_BYTES = 1 << 19
 def read_in_child(path: str) -> contextlib.AbstractContextManager[Callable[[], bytes]]:
     """``_in_child(lambda: lean_skeleton(path))`` for a file of _LEAN_BYTES or more.
 
-    For a smaller file, or one whose size cannot be read, the getter
-    returns b"" at once, which leaves the file to the full reader.
+    Only while numpy is not loaded: after that there is no import left to
+    overlap, and forking the larger process costs more than it saves.
+    Otherwise, and for a file whose size cannot be read, the getter returns
+    b"" at once, which leaves the file to the full reader.
     """
     with contextlib.suppress(OSError):
-        if os.path.getsize(path) >= _LEAN_BYTES:
+        if "numpy" not in sys.modules and os.path.getsize(path) >= _LEAN_BYTES:
             return _in_child(lambda: lean_skeleton(path))
     return contextlib.nullcontext(lambda: b"")
+
+
+# in_halves splits work with a child only where each half holds at least this
+# many items; below that the fork costs more than the half saves (the writer
+# splits the edge records of n >= 11, the face check the squares of n >= 10)
+_SPLIT_ITEMS = 4096
+
+
+def in_halves(fn: Callable[[slice], object], size: int) -> list:
+    """``[fn(slice(None))]``, or, where each half of [0, size) holds _SPLIT_ITEMS or
+    more, ``fn`` of the first half and of the second, the second run in a child.
+    """
+    half = size // 2
+    if half < _SPLIT_ITEMS:
+        return [fn(slice(None))]
+    import pickle
+    with _in_child(lambda: pickle.dumps(fn(slice(half, None)))) as rest:
+        return [fn(slice(half)), pickle.loads(rest())]
 
 
 @contextlib.contextmanager

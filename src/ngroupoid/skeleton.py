@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import json
 import marshal
-import pickle
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import (CompositionError, ConstructionHalted, FormatError,
                      UnknownBasePointError, read_json)
 from .hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
-from .lean import _in_child, edge_records
+from .lean import edge_records, in_halves, packed_skeleton
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
@@ -28,7 +27,6 @@ from .matrices import (
     close_to_any,
     first_invalid,
     inv,
-    matrices,
     rel_distances,
 )
 
@@ -282,6 +280,10 @@ def _reject_record(skel: HypercubeSkeleton, idx: int, rec: object) -> NoReturn:
     raise FormatError(f"{where}: duplicate edge {tuple(e)}")
 
 
+def _from_packed(n: int, vertices: list, weights: bytes) -> ObjectiveSkeleton:
+    return ObjectiveSkeleton(n, vertices, np.frombuffer(weights).reshape(-1, 3, 3))
+
+
 def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if not isinstance(doc, dict):
         raise FormatError("skeleton document must be an object")
@@ -299,15 +301,14 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise FormatError("skeleton: 'edges' must be a list")
+    packed = packed_skeleton(doc)
+    if packed:
+        with contextlib.suppress(ValueError):  # a bad weight is named below
+            return _from_packed(*packed)
+    # Nested 3x3 weights, or the first fault, in this order: a bad weight among
+    # the accepted rows, in file order; the record that stopped the loop; the
+    # missing edges.
     rows, slots = edge_records(n, edges)
-    record = [r for r in slots if r >= 0]  # edge position -> record index, once all are found
-    if len(rows) == len(edges) == skel.num_edges:
-        W = matrices(rows)
-        if W is not None:
-            with contextlib.suppress(ValueError):  # a bad weight is named below
-                return ObjectiveSkeleton(n, vertices, W[record])
-    # The first fault, in this order: a bad weight among the accepted rows,
-    # in file order; the record that stopped the loop; the missing edges.
     try:
         W = check_invertible(rows, lambda i: f"edges[{i}]: weight")
     except ValueError as exc:
@@ -317,18 +318,13 @@ def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
     if len(rows) < skel.num_edges:
         missing = [e for e in skel.edges() if slots[e.tail * n + e.axis - 1] < 0]
         raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
-    return ObjectiveSkeleton(n, vertices, W[record])
+    return ObjectiveSkeleton(n, vertices, W[[r for r in slots if r >= 0]])
 
 
 # One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,
 # which is json's formatter for the finite floats a skeleton holds.
 _EDGE_RECORD = ('    {\n      "tail": %d,\n      "axis": %d,\n      "weight": [\n'
                 + ",\n".join(["        %r"] * 9) + "\n      ]\n    }")
-
-# dump_skeleton formats the second half of the edge records in a child when
-# each half holds at least this many; below that the fork costs more than the
-# half saves (the n=11 and n=12 files split, the n <= 10 ones do not).
-_SPLIT_RECORDS = 4096
 
 
 def dump_skeleton(T: ObjectiveSkeleton) -> str:
@@ -344,12 +340,7 @@ def dump_skeleton(T: ObjectiveSkeleton) -> str:
         return ",\n".join([_EDGE_RECORD % (t, a, *w) for t, a, w in
                             zip(tails[part].tolist(), axes[part].tolist(), flat[part].tolist())])
 
-    half = len(tails) // 2
-    if half < _SPLIT_RECORDS:
-        edges = records(slice(None))
-    else:
-        with _in_child(lambda: records(slice(half, None)).encode()) as rest:
-            edges = records(slice(half)) + ",\n" + rest().decode()
+    edges = ",\n".join(in_halves(records, len(tails)))
     edges = f"[\n{edges}\n  ]" if edges else "[]"
     return f'{head},\n  "edges": {edges}\n}}\n'
 
@@ -369,18 +360,6 @@ def skeleton_from_lean(lean: bytes, path: str) -> ObjectiveSkeleton:
     Where those are b"", or a weight fails the check, load_skeleton reads the file.
     """
     if lean:
-        n, vertices, weights = marshal.loads(lean)
         with contextlib.suppress(ValueError):
-            return ObjectiveSkeleton(n, vertices, np.frombuffer(weights).reshape(-1, 3, 3))
+            return _from_packed(*marshal.loads(lean))
     return load_skeleton(path)
-
-
-def load_skeletons(first: str, second: str) -> tuple[ObjectiveSkeleton, ObjectiveSkeleton]:
-    """load_skeleton of both paths, the second read in a child meanwhile.
-
-    An error in the first file is raised before one in the second.
-    """
-    # protocol 5 keeps the read-only flag of the weight array
-    with _in_child(lambda: pickle.dumps(load_skeleton(second), protocol=5)) as other:
-        T = load_skeleton(first)
-        return T, pickle.loads(other())

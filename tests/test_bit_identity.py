@@ -667,10 +667,15 @@ def _set(rec, **fields):
 
 # each case edits the edges of a 3-skeleton's document in place; all but
 # the ACCEPTED ones make it malformed
-ACCEPTED = {"valid", "reordered", "dict subclass"}
+ACCEPTED = {"valid", "reordered", "dict subclass", "integers beyond 2**53", "extreme floats"}
 RECORD_CASES = {
     "valid": lambda e: None,
     "reordered": lambda e: e.reverse(),
+    # values whose rounding to float64, or whose sign or subnormal bits, a reader could lose
+    "integers beyond 2**53": lambda e: _set(
+        e[3], weight=[2**53 + 1, 0, 0, 0, 2**64 + 3, 0, 0, 0, -(2**63) - 1]),
+    "extreme floats": lambda e: _set(
+        e[3], weight=[1.0, -0.0, 5e-324, -0.0, 1.0, 1.7976931348623157e308, 0.0, -0.0, 1.0]),
     "list record": lambda e: e.__setitem__(2, [e[2]["tail"], e[2]["axis"], e[2]["weight"]]),
     "null record": lambda e: e.__setitem__(5, None),
     "dict subclass": lambda e: e.__setitem__(2, RecordDict(e[2])),
@@ -732,9 +737,12 @@ def test_reader_matches_reference_on_edge_records(case):
     doc = skeleton_to_dict(random_conservative(3, seed=3))
     RECORD_CASES[case](doc["edges"])
     got, want = _read(skeleton_from_dict, doc), _read(ref.skeleton_from_dict, doc)
+    as_check = _read(read_as_check, doc)
     assert got == want
-    assert _read(read_as_check, doc) == want
+    assert as_check == want
     assert isinstance(got, str) == (case not in ACCEPTED)
+    if case in ACCEPTED:  # == holds for -0.0 and 0.0; the bits must match as well
+        assert got.W.tobytes() == as_check.W.tobytes() == want.W.tobytes()
 
 
 BAD_WEIGHTS = {

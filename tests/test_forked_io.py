@@ -1,5 +1,5 @@
-"""The work run in a forked child: the skeleton writer's second half, compose's
-second reader, check's reader, and the second half of the face check.
+"""The work run in a forked child: the skeleton writer's second half, the reader
+of check and compose, and the second half of the face check.
 
 Whatever the child does, the bytes, the error text and the exit code are
 those of the one-process path, and no child outlives the call.
@@ -11,6 +11,7 @@ import json
 import os
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -33,7 +34,6 @@ from ngroupoid.skeleton import (
     compose,
     dump_skeleton,
     load_skeleton,
-    load_skeletons,
     save_skeleton,
     skeleton_from_lean,
     skeleton_to_dict,
@@ -42,7 +42,7 @@ from ngroupoid.skeleton import (
 from test_bit_identity import LABELS
 from test_cli import run_python
 
-SPLIT_N = 11  # the smallest n whose halves hold _SPLIT_RECORDS edge records each
+SPLIT_N = 11  # the smallest n whose halves hold _SPLIT_ITEMS edge records each
 
 
 def no_children_left() -> bool:
@@ -80,14 +80,20 @@ def failing_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", failing_child)
 
 
+def read_every_file_in_a_child(monkeypatch):
+    """Make read_in_child fork for every file, as in a process that has not loaded numpy yet."""
+    monkeypatch.setattr(lean_module, "_LEAN_BYTES", 0)
+    monkeypatch.setattr(lean_module, "sys", types.SimpleNamespace(modules={}))
+
+
 @pytest.fixture(scope="module")
 def cube12():
     return random_conservative(12, seed=12)
 
 
 def test_split_starts_at_the_smallest_n_that_halves_into_split_records(forks):
-    assert (SPLIT_N * 2 ** (SPLIT_N - 1)) // 2 >= skeleton_module._SPLIT_RECORDS
-    assert ((SPLIT_N - 1) * 2 ** (SPLIT_N - 2)) // 2 < skeleton_module._SPLIT_RECORDS
+    assert (SPLIT_N * 2 ** (SPLIT_N - 1)) // 2 >= lean_module._SPLIT_ITEMS
+    assert ((SPLIT_N - 1) * 2 ** (SPLIT_N - 2)) // 2 < lean_module._SPLIT_ITEMS
     for n in range(1, SPLIT_N):  # every golden-bytes case among them
         dump_skeleton(random_conservative(n, seed=n))
     assert forks == []
@@ -144,13 +150,12 @@ def test_child_error_reruns_here_and_raises_its_own_error():
 
 
 @pytest.mark.parametrize("load", [
-    lambda a, b: load_skeleton(a),
-    lambda a, b: load_skeletons(a, b),  # the child checks the second file on its own
-], ids=["load_skeleton", "load_skeletons"])
+    load_skeleton,
+    lambda path: skeleton_from_lean(lean_skeleton(path), path),
+], ids=["load_skeleton", "skeleton_from_lean"])
 def test_one_weight_check_per_file(monkeypatch, tmp_path, load):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a = tmp_path / "a.json"
     save_skeleton(random_conservative(3, seed=1), str(a))
-    save_skeleton(random_conservative(4, seed=2), str(b))
     calls = []
     first_invalid = matrices.first_invalid
 
@@ -160,19 +165,19 @@ def test_one_weight_check_per_file(monkeypatch, tmp_path, load):
 
     monkeypatch.setattr(matrices, "first_invalid", counted)
     monkeypatch.setattr(skeleton_module, "first_invalid", counted)
-    load(str(a), str(b))
+    load(str(a))
     assert calls == [12]
 
 
-def test_load_skeletons_reads_both_files(tmp_path):
+def test_compose_reads_both_files_in_children(monkeypatch, forks, run_cli, tmp_path):
     A, B = random_composable_chain(3, 1, 2, seed=4)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ab.json"
     save_skeleton(A, str(a))
     save_skeleton(B, str(b))
-    first, second = load_skeletons(str(a), str(b))
-    assert (first, second) == (A, B)
-    assert not second.W.flags.writeable
-    assert no_children_left()
+    read_every_file_in_a_child(monkeypatch)
+    assert run_cli("compose", a, b, "--axis", 1, "--out", out) == (0, "")
+    assert out.read_text(encoding="utf-8") == ref.dump_skeleton(compose(B, A, 1))
+    assert len(forks) == 2 and no_children_left()
 
 
 def relabelled_pair(labels):
@@ -199,7 +204,7 @@ def test_no_child_outlives_a_verb(run_cli, tmp_path, capsys):
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ab.json"
     assert run_cli("generate", "--n", 12, "--seed", 1, "--out", a) == (0, "")
     assert no_children_left()
-    assert run_cli("check", a)[0] == 0  # one child reads, another checks half the faces
+    assert run_cli("check", a)[0] == 0  # numpy is loaded: one child checks half the faces
     assert no_children_left()
     assert run_cli("check", tmp_path / "missing.json") == (2, "")
     assert no_children_left()
@@ -234,14 +239,20 @@ def compose_inputs(tmp_path):
     ("bad_json", "bad_weight", "{bad_json}: line 1: Expecting value"),
 ], ids=["first-bad", "second-bad", "both-bad"])
 def test_compose_input_error_is_one_line(compose_inputs, first, second, message):
-    # a subprocess, because only the interpreter's own exit shows what a child printed
-    proc = run_python(["-m", "ngroupoid", "compose", str(compose_inputs[first]),
-                       str(compose_inputs[second]), "--axis", "1"], compose_inputs["a"].parent)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: " + message.format(bad_json=compose_inputs["bad_json"]) + "\n"
+    # a subprocess, because only the interpreter's own exit shows what a child printed;
+    # these files are small, so only the second entry reads them in children
+    every_file_in_a_child = ("import ngroupoid.lean\n"
+                             "ngroupoid.lean._LEAN_BYTES = 0\n"
+                             "from ngroupoid.__main__ import main\n"
+                             "main()\n")
+    for entry in (["-m", "ngroupoid"], ["-c", every_file_in_a_child]):
+        proc = run_python([*entry, "compose", str(compose_inputs[first]),
+                           str(compose_inputs[second]), "--axis", "1"], compose_inputs["a"].parent)
+        assert (proc.returncode, proc.stdout) == (2, ""), entry
+        assert proc.stderr == "error: " + message.format(bad_json=compose_inputs["bad_json"]) + "\n"
 
 
-# -- check: the reader forked before numpy loads, the face check in two halves --
+# -- check and compose: readers forked before numpy loads, the face check in two halves --
 
 def with_weights(T, weight) -> dict:
     """T's document with every weight w replaced by weight(w), a list of 9 floats."""
@@ -292,7 +303,8 @@ FULL_READER = INPUT_ERRORS - {"nan-weight", "n13"} | {"nested-3x3-weights"}
 
 @pytest.fixture(scope="module")
 def check_files(tmp_path_factory):
-    """The CHECK_INPUTS as files, and an n=12 file whose face check fails in both halves."""
+    """The CHECK_INPUTS as files, an n=12 file whose face check fails in both halves,
+    and all-unit files over one label at n=3 and n=12, each composable with itself."""
     directory = tmp_path_factory.mktemp("check")
     paths = {name: directory / f"{name}.json" for name in [*CHECK_INPUTS, "n12"]}
     for name, content in CHECK_INPUTS.items():
@@ -303,14 +315,18 @@ def check_files(tmp_path_factory):
     W = T.W.copy()
     W[[0, -1]] = PERTURBATION @ W[[0, -1]]  # one edge among the first squares, one the last
     save_skeleton(ObjectiveSkeleton(12, T.vertices, W), str(paths["n12"]))
+    for n in (3, 12):
+        paths[f"units{n}"] = directory / f"units{n}.json"
+        units = np.tile(np.eye(3), (n << (n - 1), 1, 1))
+        save_skeleton(ObjectiveSkeleton(n, ["X"] * 2**n, units), str(paths[f"units{n}"]))
     return paths
 
 
-def run_check(path, out) -> tuple[int, str, str, bytes | None]:
-    """check in process: exit code, stdout, stderr and the --out bytes, if written."""
+def run_verb(argv, out) -> tuple[int, str, str, bytes | None]:
+    """A verb in process: exit code, stdout, stderr and the --out bytes, if written."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(["check", str(path), "--out", str(out)])
+        code = cli.main([*map(str, argv), "--out", str(out)])
     report = out.read_bytes() if out.exists() else None
     if report is not None:
         out.unlink()
@@ -321,20 +337,25 @@ def run_check(path, out) -> tuple[int, str, str, bytes | None]:
 @pytest.mark.parametrize("name", [*CHECK_INPUTS, "n12"])
 def test_check_matches_load_skeleton_in_one_process(monkeypatch, tmp_path, check_files,
                                                     name, fork):
-    path, out = check_files[name], tmp_path / "report.json"
+    # the file read by check, and by compose in first and in second position; without
+    # a working fork, every verb falls back on the same code in _in_child
+    path, good, out = check_files[name], check_files["n3"], tmp_path / "out.json"
+    runs = [["check", path]]
+    if fork == "fork":
+        runs += [["compose", path, good, "--axis", 1], ["compose", good, path, "--axis", 1]]
     with monkeypatch.context() as one_process:
         one_process.delattr(os, "fork")
         one_process.setattr(skeleton_module, "skeleton_from_lean",
                             lambda lean, path: load_skeleton(path))
-        want = run_check(path, out)
-    monkeypatch.setattr(lean_module, "_LEAN_BYTES", 0)  # every file through the child's reader
+        want = [run_verb(argv, out) for argv in runs]
+    read_every_file_in_a_child(monkeypatch)
     if fork == "no-fork":
         monkeypatch.delattr(os, "fork")
     elif fork == "failing-child":
         failing_fork(monkeypatch)
-    assert run_check(path, out) == want
+    assert [run_verb(argv, out) for argv in runs] == want
     assert no_children_left()
-    assert (want[0] == 2) == (name in INPUT_ERRORS)
+    assert [code == 2 for code, *_ in want] == [name in INPUT_ERRORS] * len(runs)
 
 
 def test_check_builds_from_the_child_where_the_file_is_whole(monkeypatch, check_files):
@@ -355,11 +376,17 @@ def test_check_builds_from_the_child_where_the_file_is_whole(monkeypatch, check_
             assert not T.W.flags.writeable
 
 
-@pytest.mark.parametrize("name, seen", [
-    ("n12", "[False, True, 1]"),  # the reader, then the second half of the face check
-    ("n3", "[0]"),  # below _LEAN_BYTES: read in this process
+@pytest.mark.parametrize("argv, seen", [
+    # the reader, then the second half of the face check
+    pytest.param(["check", "n12"], "[False, True, 1]", id="n12-[False, True, 1]"),
+    # below _LEAN_BYTES: read in this process
+    pytest.param(["check", "n3"], "[0]", id="n3-[0]"),
+    # both readers, then the second half of the writer's edge records
+    pytest.param(["compose", "units12", "units12"], "[False, False, True, 0]",
+                 id="compose-units12-[False, False, True, 0]"),
+    pytest.param(["compose", "units3", "units3"], "[0]", id="compose-units3-[0]"),
 ])
-def test_check_forks_its_reader_before_numpy_loads(check_files, name, seen):
+def test_check_forks_its_reader_before_numpy_loads(check_files, tmp_path, argv, seen):
     # a fresh interpreter, since this one has numpy loaded already
     code = ("import os, sys\n"
             "fork, seen = os.fork, []\n"
@@ -368,10 +395,18 @@ def test_check_forks_its_reader_before_numpy_loads(check_files, name, seen):
             "    return fork()\n"
             "os.fork = recorded\n"
             "from ngroupoid.cli import main\n"
-            "seen.append(main(['check', sys.argv[1]]))\n"
+            "seen.append(main(sys.argv[1:]))\n"
             "print(seen, file=sys.stderr)\n")
-    proc = run_python(["-c", code, str(check_files[name])], check_files[name].parent)
+    verb, *files = argv
+    extra = ["--axis", "1", "--out", str(tmp_path / "out.json")] if verb == "compose" else []
+    proc = run_python(["-c", code, verb, *(str(check_files[f]) for f in files), *extra],
+                      tmp_path)
     assert proc.stderr.splitlines()[-1] == seen
+
+
+def test_check_with_numpy_loaded_forks_only_for_the_face_check(forks, check_files, capsys):
+    assert cli.main(["check", str(check_files["n12"])]) == 1
+    assert len(forks) == 1 and no_children_left()
 
 
 @pytest.fixture(scope="module")
@@ -387,11 +422,11 @@ def cube12_perturbed(cube12):
 
 def test_split_face_check_matches_one_batch(monkeypatch, forks, cube12, cube12_perturbed):
     half = len(cube12.skel.squares[0]) // 2
-    assert half >= analysis._SPLIT_SQUARES
+    assert half >= lean_module._SPLIT_ITEMS
     for T in [cube12, *cube12_perturbed]:
         split = is_conservative(T)
         with monkeypatch.context() as one_batch:
-            one_batch.setattr(analysis, "_SPLIT_SQUARES", half + 1)
+            one_batch.setattr(lean_module, "_SPLIT_ITEMS", half + 1)
             whole = is_conservative(T)
         assert split.verdict == whole.verdict
         assert split.max_deviation == whole.max_deviation
