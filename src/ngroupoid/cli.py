@@ -93,7 +93,7 @@ def cmd_check(args) -> int:
         from .analysis import conservative_oracle, is_conservative
         from .matrices import DEFAULT_TOL
         from .skeleton import skeleton_from_lean
-        T = skeleton_from_lean(lean(), path)
+        T = skeleton_from_lean(lean())
     tol = args.tol
     if args.mixture:
         from .mixture import load_mixture
@@ -198,8 +198,8 @@ def cmd_compose(args) -> int:
     with read_in_child(args.first) as lean_first, read_in_child(args.second) as lean_second:
         from .matrices import DEFAULT_TOL
         from .skeleton import compose, dump_skeleton, skeleton_from_lean
-        first = skeleton_from_lean(lean_first(), args.first)
-        second = skeleton_from_lean(lean_second(), args.second)
+        first = skeleton_from_lean(lean_first())
+        second = skeleton_from_lean(lean_second())
     if not 1 <= args.axis <= max(first.n, second.n):
         return _fail(f"--axis must lie in 1..{max(first.n, second.n)}, got {args.axis}")
     tol = DEFAULT_TOL if args.tol is None else args.tol

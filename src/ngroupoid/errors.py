@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+MAX_DIMENSION = 12  # largest accepted n: a 12-cube already has 24576 edges
+
 
 class NGroupoidError(Exception):
     """Base class for all package errors."""

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-MAX_DIMENSION = 12  # largest accepted n: a 12-cube already has 24576 edges
+from .errors import MAX_DIMENSION
 
 
 class Edge(NamedTuple):
@@ -140,14 +140,10 @@ class HypercubeSkeleton:
         return np.flatnonzero(on), np.flatnonzero(on[tails] & (axes != axis))
 
     def check_edge(self, edge: Edge) -> None:
-        if not 1 <= edge.axis <= self.n:
-            raise ValueError(f"edge axis {edge.axis} out of range 1..{self.n}")
-        if not 0 <= edge.tail < self.num_vertices:
-            raise ValueError(f"edge tail {edge.tail} out of range")
-        if edge.tail & self.axis_bit(edge.axis):
-            raise ValueError(
-                f"edge tail {edge.tail} already has bit set on axis {edge.axis}"
-            )
+        from .lean import edge_fault  # the skeleton reader's texts
+        fault = edge_fault(self.n, edge.tail, edge.axis)
+        if fault:
+            raise ValueError(fault)
 
     def adjacency_class(self, a: int, b: int) -> int | None:
         """Axis along which two vertices differ, or None.

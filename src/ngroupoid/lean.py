@@ -1,32 +1,100 @@
-"""Numpy-free code: the skeleton reader's record loop, the one packing of a good
-file's weights (here or in a child), and forked children that work beside this
-process: a file's reader, forked only before numpy loads, and a batch's second half.
+"""Numpy-free code: the skeleton file reader, which names every structural fault of a
+file and leaves only the numeric test of its weights to numpy, and forked children that
+work beside this process: a file's reader, forked only before numpy loads, and a batch's
+second half.
 """
 
 from __future__ import annotations
 
 import _signal  # signal's C core, already loaded; `import signal` builds enums at each start
 import contextlib
+import functools
 import os
 import sys
 import warnings
+from array import array
 from collections.abc import Callable, Iterator
-from itertools import chain
+from itertools import chain, islice
 
-from .errors import FormatError, read_json
+from .errors import MAX_DIMENSION, FormatError, read_json
+
+NOT_A_MATRIX = "is not 9 numbers or a 3x3 nested list"
+_FLOAT_MAX = sys.float_info.max
 
 
-def edge_records(n: int, edges: list) -> tuple[list, list[int]]:
-    """(rows, slots) of a skeleton's edge records, read up to the first that is no new n-cube edge.
+def edge_fault(n: int, tail: int, axis: int) -> str | None:
+    """Why (tail, axis) is no edge of the n-cube; None where it is one."""
+    if not 1 <= axis <= n:
+        return f"edge axis {axis} out of range 1..{n}"
+    if not 0 <= tail < 1 << n:
+        return f"edge tail {tail} out of range"
+    if tail >> (n - axis) & 1:
+        return f"edge tail {tail} already has bit set on axis {axis}"
+    return None
 
-    ``rows[idx]`` is the weight of ``edges[idx]``; ``slots[tail * n + axis - 1]``
-    is the index of edge (tail, axis)'s record, -1 where it has none.  Slots run
-    in edge order, so once every edge has its record, the slots >= 0 list them.
+
+def _record_fault(n: int, idx: int, rec: object) -> str:
+    """Why edges[idx], a record that is no new edge, stopped the reader: the checks in order."""
+    where = f"skeleton: edges[{idx}]"
+    if not isinstance(rec, dict):
+        return f"{where} must be an object"
+    for key in ("tail", "axis", "weight"):
+        if key not in rec:
+            return f"{where} missing field {key!r}"
+    for key in ("tail", "axis"):
+        if type(rec[key]) is not int:
+            return f"{where}: {key!r} must be an integer, got {rec[key]!r}"
+    edge = rec["tail"], rec["axis"]
+    return f"{where}: {edge_fault(n, *edge) or f'duplicate edge {edge}'}"
+
+
+def _packed(rows: list) -> tuple[bytes, int | None]:
+    """The rows as float64 bytes, up to the first that is not 9 numbers (not booleans) or a
+    3x3 nested list, and its index, else None; an integer beyond the float range is infinite.
     """
-    size = 1 << n
-    slots = [-1] * (n * size)
-    rows: list = []
-    for idx, rec in enumerate(edges):
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {9} \
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # a good file's rows, in one pass
+            return array("d", chain.from_iterable(rows)).tobytes(), None
+    packed = array("d")
+    for idx, row in enumerate(rows):
+        if isinstance(row, (list, tuple)) and len(row) == 3 \
+                and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in row):
+            row = [*chain.from_iterable(row)]
+        if not isinstance(row, (list, tuple)) or len(row) != 9 or not (
+                set(map(type, row)) <= {int, float}
+                or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
+            return packed.tobytes(), idx
+        try:
+            packed += array("d", row)
+        except OverflowError:
+            packed += array("d", [x if abs(x) <= _FLOAT_MAX else float("inf") for x in row])
+    return packed.tobytes(), None
+
+
+def skeleton_parts(doc: object) -> tuple[int, list, bytes, list[int], str | None]:
+    """A parsed skeleton document as (n, vertices, weights, order, fault); a bad header raises.
+
+    ``weights``: the records' weights read, as float64 in file order, not tested for
+    finiteness or invertibility; ``order``: their record indices in edge order; ``fault``:
+    None, or the first structural fault (a malformed weight, where ``weights`` stops, the
+    record that stopped the reader, missing edges).
+    """
+    if not isinstance(doc, dict):
+        raise FormatError("skeleton document must be an object")
+    for key in ("n", "vertices", "edges"):
+        if key not in doc:
+            raise FormatError(f"skeleton: missing field {key!r}")
+    n, vertices, edges = doc["n"], doc["vertices"], doc["edges"]
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
+        raise FormatError(f"skeleton: 'n' must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
+    if not isinstance(vertices, list) or len(vertices) != 1 << n:
+        raise FormatError(f"skeleton: 'vertices' must list exactly {1 << n} labels")
+    if not isinstance(edges, list):
+        raise FormatError("skeleton: 'edges' must be a list")
+    size, rows = 1 << n, []  # rows[idx] is the weight of edges[idx]
+    slots = [-1] * (n * size)  # slots[tail * n + axis - 1]: the record of edge (tail, axis)
+    for idx, rec in enumerate(edges):  # one combined test per record, up to the first no new edge
         if isinstance(rec, dict) and "tail" in rec and "axis" in rec and "weight" in rec:
             tail, axis = rec["tail"], rec["axis"]
             if type(tail) is int and type(axis) is int and 1 <= axis <= n \
@@ -36,45 +104,28 @@ def edge_records(n: int, edges: list) -> tuple[list, list[int]]:
                     slots[s] = idx
                     rows.append(rec["weight"])
                     continue
-        break  # edges[len(rows)] is no new edge
-    return rows, slots
-
-
-def packed_skeleton(doc: object) -> tuple[int, list, bytes] | None:
-    """A parsed skeleton document as (n, vertices, weights), packed without numpy; else None.
-
-    The weights are one float64 buffer in edge order, not checked for
-    finiteness or invertibility.  A fault, or a weight that is not 9 plain
-    ints or floats in the float range, gives None: the full reader names it.
-    """
-    from array import array
-    n, vertices, edges = (doc.get(k) for k in ("n", "vertices", "edges")) \
-        if isinstance(doc, dict) else (None, None, None)
-    # 2**n vertices, tested without computing 2**n for a huge n
-    if type(n) is not int or n < 1 or not isinstance(vertices, list) \
-            or len(vertices).bit_length() != n + 1 or len(vertices) != 1 << n \
-            or not isinstance(edges, list):
-        return None
-    rows, slots = edge_records(n, edges)
-    weights = [rows[r] for r in slots if r >= 0]
-    if not len(rows) == len(edges) == n << (n - 1) \
-            or set(map(type, weights)) != {list} or set(map(len, weights)) != {9} \
-            or not set(map(type, chain.from_iterable(weights))) <= {int, float}:
-        return None
-    try:
-        return n, vertices, array("d", chain.from_iterable(weights)).tobytes()
-    except OverflowError:  # an integer beyond the float range
-        return None
+        break
+    weights, malformed = _packed(rows)
+    fault = None  # a whole file
+    if malformed is not None:
+        fault = f"skeleton: edges[{malformed}]: weight {NOT_A_MATRIX}"
+    elif len(rows) < len(edges):
+        fault = _record_fault(n, len(rows), edges[len(rows)])
+    elif len(rows) < n << (n - 1):
+        missing = islice(((s // n, s % n + 1) for s, r in enumerate(slots)
+                          if r < 0 and not edge_fault(n, s // n, s % n + 1)), 3)
+        fault = "skeleton: missing weights for edges [%s]..." % ", ".join(
+            "Edge(tail=%d, axis=%d)" % edge for edge in missing)
+    return n, vertices, weights, [r for r in slots if r >= 0], fault
 
 
 def lean_skeleton(path: str) -> bytes:
-    """packed_skeleton of a skeleton file, marshalled; b"" for None or an unreadable file."""
+    """skeleton_parts of a skeleton file, marshalled; or the text of its FormatError."""
     import marshal
     try:
-        packed = packed_skeleton(read_json(path))
-    except FormatError:
-        return b""
-    return marshal.dumps(packed) if packed else b""
+        return marshal.dumps(skeleton_parts(read_json(path)))
+    except FormatError as exc:
+        return marshal.dumps(str(exc))
 
 
 # a skeleton file is read in a child only from this size on; below it the
@@ -88,13 +139,14 @@ def read_in_child(path: str) -> contextlib.AbstractContextManager[Callable[[], b
 
     Only while numpy is not loaded: after that there is no import left to
     overlap, and forking the larger process costs more than it saves.
-    Otherwise, and for a file whose size cannot be read, the getter returns
-    b"" at once, which leaves the file to the full reader.
+    Otherwise, and for a file whose size cannot be read, the getter runs
+    lean_skeleton(path) here.
     """
+    read = functools.partial(lean_skeleton, path)
     with contextlib.suppress(OSError):
         if "numpy" not in sys.modules and os.path.getsize(path) >= _LEAN_BYTES:
-            return _in_child(lambda: lean_skeleton(path))
-    return contextlib.nullcontext(lambda: b"")
+            return _in_child(read)
+    return contextlib.nullcontext(read)
 
 
 # in_halves splits work with a child only where each half holds at least this

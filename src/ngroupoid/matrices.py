@@ -8,7 +8,6 @@ Frobenius distances so that tolerances survive rescaling.
 from __future__ import annotations
 
 import sys
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,10 +27,7 @@ def _numeric(data: object) -> bool:
     if isinstance(data, np.ndarray):
         return data.dtype.kind in "iuf"
     if isinstance(data, (list, tuple)):
-        types = set(map(type, data))
-        if types <= {list}:  # rows of a file: all their entries in one pass
-            types = set(map(type, chain.from_iterable(data)))
-        return types <= {int, float} or all(map(_numeric, data))
+        return set(map(type, data)) <= {int, float} or all(map(_numeric, data))
     return isinstance(data, (int, float, np.integer, np.floating)) and not isinstance(data, bool)
 
 
@@ -67,7 +63,8 @@ def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     if bad:
         raise ValueError(f"{name(bad[0])} {bad[1]}")
     if malformed is not None:
-        raise ValueError(f"{name(malformed)} is not 9 numbers or a 3x3 nested list")
+        from .lean import NOT_A_MATRIX  # the skeleton reader's text
+        raise ValueError(f"{name(malformed)} {NOT_A_MATRIX}")
     return ms
 
 

@@ -4,6 +4,8 @@ An objective skeleton assigns one base point to each hypercube vertex and
 one invertible arrow to each oriented edge; class-I edges carry arrows of
 the I-th constituent.  Skeletons compose along each axis by gluing a target
 facet to a matching source facet and multiplying the connecting weights.
+A skeleton file is read by lean.skeleton_parts, in a child or here; this
+module only builds the skeleton from what it read and tests the weights' numbers.
 """
 
 from __future__ import annotations
@@ -11,18 +13,17 @@ from __future__ import annotations
 import contextlib
 import json
 import marshal
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import (CompositionError, ConstructionHalted, FormatError,
                      UnknownBasePointError, read_json)
-from .hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
-from .lean import edge_records, in_halves, packed_skeleton
+from .hypercube import Edge, HypercubeSkeleton
+from .lean import in_halves, skeleton_parts
 from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
-    check_invertible,
     check_tolerance,
     close_to_any,
     first_invalid,
@@ -257,68 +258,21 @@ def skeleton_to_dict(T: ObjectiveSkeleton) -> dict:
     }
 
 
-def _reject_record(skel: HypercubeSkeleton, idx: int, rec: object) -> NoReturn:
-    """Raise the FormatError for ``edges[idx]``, a record that is no new edge of skel.
-
-    The checks run one by one, in the order their messages take precedence;
-    a record that passes them all repeats an edge.
+def _from_parts(n: int, vertices: list, weights: bytes, order: list[int],
+                fault: str | None) -> ObjectiveSkeleton:
+    """The skeleton whose parts lean.skeleton_parts read; else a FormatError naming the
+    first bad weight in file order or, where there is none, the structural fault.
     """
-    where = f"skeleton: edges[{idx}]"
-    if not isinstance(rec, dict):
-        raise FormatError(f"{where} must be an object")
-    for key in ("tail", "axis", "weight"):
-        if key not in rec:
-            raise FormatError(f"{where} missing field {key!r}")
-    for key in ("tail", "axis"):
-        if type(rec[key]) is not int:
-            raise FormatError(f"{where}: {key!r} must be an integer, got {rec[key]!r}")
-    e = Edge(rec["tail"], rec["axis"])
-    try:
-        skel.check_edge(e)
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-    raise FormatError(f"{where}: duplicate edge {tuple(e)}")
-
-
-def _from_packed(n: int, vertices: list, weights: bytes) -> ObjectiveSkeleton:
-    return ObjectiveSkeleton(n, vertices, np.frombuffer(weights).reshape(-1, 3, 3))
+    W = np.frombuffer(weights).reshape(-1, 3, 3)
+    if fault is None:
+        with contextlib.suppress(ValueError):  # a bad weight is named below
+            return ObjectiveSkeleton(n, vertices, W[order])
+    bad = first_invalid(W)
+    raise FormatError(f"skeleton: edges[{bad[0]}]: weight {bad[1]}" if bad else fault)
 
 
 def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
-    if not isinstance(doc, dict):
-        raise FormatError("skeleton document must be an object")
-    for key in ("n", "vertices", "edges"):
-        if key not in doc:
-            raise FormatError(f"skeleton: missing field {key!r}")
-    n = doc["n"]
-    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
-        raise FormatError(f"skeleton: 'n' must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
-    skel = HypercubeSkeleton(n)
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list) or len(vertices) != skel.num_vertices:
-        raise FormatError(f"skeleton: 'vertices' must list exactly "
-                          f"{skel.num_vertices} labels")
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise FormatError("skeleton: 'edges' must be a list")
-    packed = packed_skeleton(doc)
-    if packed:
-        with contextlib.suppress(ValueError):  # a bad weight is named below
-            return _from_packed(*packed)
-    # Nested 3x3 weights, or the first fault, in this order: a bad weight among
-    # the accepted rows, in file order; the record that stopped the loop; the
-    # missing edges.
-    rows, slots = edge_records(n, edges)
-    try:
-        W = check_invertible(rows, lambda i: f"edges[{i}]: weight")
-    except ValueError as exc:
-        raise FormatError(f"skeleton: {exc}") from exc
-    if len(rows) < len(edges):
-        _reject_record(skel, len(rows), edges[len(rows)])
-    if len(rows) < skel.num_edges:
-        missing = [e for e in skel.edges() if slots[e.tail * n + e.axis - 1] < 0]
-        raise FormatError(f"skeleton: missing weights for edges {missing[:3]}...")
-    return ObjectiveSkeleton(n, vertices, W[[r for r in slots if r >= 0]])
+    return _from_parts(*skeleton_parts(doc))
 
 
 # One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,
@@ -354,12 +308,9 @@ def load_skeleton(path: str) -> ObjectiveSkeleton:
     return skeleton_from_dict(read_json(path))
 
 
-def skeleton_from_lean(lean: bytes, path: str) -> ObjectiveSkeleton:
-    """load_skeleton(path), built from ``lean``, the bytes lean.lean_skeleton(path) returned.
-
-    Where those are b"", or a weight fails the check, load_skeleton reads the file.
-    """
-    if lean:
-        with contextlib.suppress(ValueError):
-            return _from_packed(*marshal.loads(lean))
-    return load_skeleton(path)
+def skeleton_from_lean(lean: bytes) -> ObjectiveSkeleton:
+    """load_skeleton of a file, from ``lean``, the bytes lean.lean_skeleton returned for it."""
+    parts = marshal.loads(lean)
+    if isinstance(parts, str):
+        raise FormatError(parts)
+    return _from_parts(*parts)

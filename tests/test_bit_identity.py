@@ -665,12 +665,25 @@ def _set(rec, **fields):
     rec.update(fields)
 
 
+def _nested(weight):
+    """A weight of 9 numbers as a 3x3 nested list."""
+    return [weight[:3], weight[3:6], weight[6:]]
+
+
 # each case edits the edges of a 3-skeleton's document in place; all but
 # the ACCEPTED ones make it malformed
-ACCEPTED = {"valid", "reordered", "dict subclass", "integers beyond 2**53", "extreme floats"}
+ACCEPTED = {"valid", "reordered", "dict subclass", "integers beyond 2**53", "extreme floats",
+            "nested weights", "flat and nested weights"}
 RECORD_CASES = {
     "valid": lambda e: None,
     "reordered": lambda e: e.reverse(),
+    "nested weights": lambda e: [_set(r, weight=_nested(r["weight"])) for r in e],
+    "flat and nested weights": lambda e: [_set(r, weight=_nested(r["weight"])) for r in e[1::2]],
+    "ragged nested weight": lambda e: _set(e[3], weight=[[1, 2, 3], [4, 5], [6, 7, 8, 9]]),
+    "integer above 1e308 in a nested weight": lambda e: _set(
+        e[3], weight=[[1, 0, 0], [0, 10**309, 0], [0, 0, 1]]),
+    "nested singular weight before a fault": lambda e: (
+        _set(e[1], weight=[[1, 2, 3], [2, 4, 6], [0, 0, 1]]), _set(e[3], axis=9)),
     # values whose rounding to float64, or whose sign or subnormal bits, a reader could lose
     "integers beyond 2**53": lambda e: _set(
         e[3], weight=[2**53 + 1, 0, 0, 0, 2**64 + 3, 0, 0, 0, -(2**63) - 1]),
@@ -725,11 +738,11 @@ def _read(reader, doc):
 
 
 def read_as_check(doc):
-    """The skeleton in doc as check reads it: from a file, by the lean reader first."""
+    """The skeleton in doc as check reads it: from a file, through the reading child's bytes."""
     with tempfile.TemporaryDirectory() as directory:
         path = str(pathlib.Path(directory) / "skeleton.json")
         pathlib.Path(path).write_text(json.dumps(doc), encoding="utf-8")
-        return skeleton_from_lean(lean_skeleton(path), path)
+        return skeleton_from_lean(lean_skeleton(path))
 
 
 @pytest.mark.parametrize("case", RECORD_CASES)
@@ -751,6 +764,8 @@ BAD_WEIGHTS = {
     "string": lambda w: w[:4] + ["1.0"] + w[5:],
     "8 entries": lambda w: w[:8],
     "singular": lambda w: w[:6] + w[3:6],  # two equal rows
+    "nested": _nested,
+    "ragged nested": lambda w: [w[:3], w[3:5], w[5:]],
 }
 
 

@@ -577,7 +577,7 @@ def test_unwritable_out_exits_2_without_a_traceback(tmp_path, data_dir, argv, fi
 RUN_VERB = "from ngroupoid.cli import main; main({!r})"
 LOADED = [
     ("import ngroupoid", set()),
-    ("import ngroupoid; ngroupoid.hypercube", {"hypercube", "numpy"}),
+    ("import ngroupoid; ngroupoid.hypercube", {"errors", "hypercube", "numpy"}),
     (RUN_VERB.format(["skeleton", "--n", "1"]), {"cli", "errors", "hypercube", "numpy"}),
     (RUN_VERB.format(["check", "c.json"]),
      {"analysis", "cli", "errors", "hypercube", "lean", "matrices", "numpy", "skeleton"}),

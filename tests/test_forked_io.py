@@ -5,6 +5,7 @@ Whatever the child does, the bytes, the error text and the exit code are
 those of the one-process path, and no child outlives the call.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ import pytest
 import ngroupoid.lean as lean_module
 import ngroupoid.skeleton as skeleton_module
 import scalar_reference as ref
-from ngroupoid import analysis, cli, matrices
+from ngroupoid import analysis, cli, errors, matrices
 from ngroupoid.analysis import (
     PERTURBATION,
     is_conservative,
@@ -151,7 +152,7 @@ def test_child_error_reruns_here_and_raises_its_own_error():
 
 @pytest.mark.parametrize("load", [
     load_skeleton,
-    lambda path: skeleton_from_lean(lean_skeleton(path), path),
+    lambda path: skeleton_from_lean(lean_skeleton(path)),
 ], ids=["load_skeleton", "skeleton_from_lean"])
 def test_one_weight_check_per_file(monkeypatch, tmp_path, load):
     a = tmp_path / "a.json"
@@ -295,10 +296,9 @@ CHECK_INPUTS = {
     "missing-file": None,
     "bad-json": "{nope",
 }
-# the inputs check rejects, and those the child leaves to the full reader
+# the inputs check rejects
 INPUT_ERRORS = {"integer-above-1e308", "nan-weight", "bool-weight", "duplicate-record", "n13",
                 "missing-file", "bad-json"}
-FULL_READER = INPUT_ERRORS - {"nan-weight", "n13"} | {"nested-3x3-weights"}
 
 
 @pytest.fixture(scope="module")
@@ -344,9 +344,10 @@ def test_check_matches_load_skeleton_in_one_process(monkeypatch, tmp_path, check
     if fork == "fork":
         runs += [["compose", path, good, "--axis", 1], ["compose", good, path, "--axis", 1]]
     with monkeypatch.context() as one_process:
-        one_process.delattr(os, "fork")
-        one_process.setattr(skeleton_module, "skeleton_from_lean",
-                            lambda lean, path: load_skeleton(path))
+        # the getter hands the path to load_skeleton
+        one_process.setattr(lean_module, "read_in_child",
+                            lambda path: contextlib.nullcontext(lambda: path))
+        one_process.setattr(skeleton_module, "skeleton_from_lean", load_skeleton)
         want = [run_verb(argv, out) for argv in runs]
     read_every_file_in_a_child(monkeypatch)
     if fork == "no-fork":
@@ -358,22 +359,71 @@ def test_check_matches_load_skeleton_in_one_process(monkeypatch, tmp_path, check
     assert [code == 2 for code, *_ in want] == [name in INPUT_ERRORS] * len(runs)
 
 
-def test_check_builds_from_the_child_where_the_file_is_whole(monkeypatch, check_files):
+def ref_read(path):
+    """The file at path by the oracle reader, or the text of its FormatError."""
+    try:
+        return ref.skeleton_from_dict(errors.read_json(path))
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_check_decides_every_file_from_the_childs_bytes(monkeypatch, check_files):
     for name in CHECK_INPUTS:
         path = str(check_files[name])
+        want = ref_read(path)
         lean = lean_skeleton(path)
-        assert (lean == b"") == (name in FULL_READER), name
-        if name in FULL_READER:
-            continue
-        reads = []
-        with monkeypatch.context() as m:
-            m.setattr(skeleton_module, "load_skeleton", reads.append)
-            T = skeleton_from_lean(lean, path)
-        # a weight that fails the check, or a dimension above the cap, is read again
-        assert reads == ([path] if name in INPUT_ERRORS else []), name
-        if not reads:
-            assert T == load_skeleton(path)
-            assert not T.W.flags.writeable
+        with monkeypatch.context() as m:  # no second parse
+            m.setattr(errors, "read_json", None)
+            m.setattr(lean_module, "read_json", None)
+            m.setattr(skeleton_module, "read_json", None)
+            try:
+                got = skeleton_from_lean(lean)
+            except FormatError as exc:
+                got = str(exc)
+        assert isinstance(got, str) == (name in INPUT_ERRORS), name
+        assert got == want, name
+        if not isinstance(got, str):
+            assert got.W.tobytes() == want.W.tobytes() and not got.W.flags.writeable
+
+
+@pytest.fixture
+def parses(monkeypatch, tmp_path):
+    """A list of the files read_json has parsed so far, here and in forked children."""
+    log, read_json = tmp_path / "parses.log", errors.read_json
+
+    def logged(path):
+        with open(log, "a", encoding="utf-8") as fh:  # one short append per call
+            fh.write(f"{path}\n")
+        return read_json(path)
+
+    monkeypatch.setattr(lean_module, "read_json", logged)
+    monkeypatch.setattr(skeleton_module, "read_json", logged)
+    return lambda: log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+
+@pytest.mark.parametrize("fork", ["fork", "no-fork", "failing-child"])
+def test_each_verb_parses_each_skeleton_file_once(monkeypatch, tmp_path, check_files, parses,
+                                                  fork):
+    read_every_file_in_a_child(monkeypatch)
+    if fork == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif fork == "failing-child":
+        failing_fork(monkeypatch)
+    other, out = str(check_files["units3"]), tmp_path / "out.json"
+    for name in [*CHECK_INPUTS, "n12"]:
+        path = str(check_files[name])
+        for argv in (["check", path], ["compose", path, other, "--axis", 1],
+                     ["compose", other, path, "--axis", 1]):
+            done = len(parses())
+            run_verb(argv, out)
+            seen = collections.Counter(parses()[done:])
+            first, *rest = argv[1:-2] if argv[0] == "compose" else argv[1:]
+            # where the first file fails, its error ends the verb before the second is built
+            dropped = first == path and name in INPUT_ERRORS
+            assert seen[first] == 1, (name, argv)
+            assert all(seen[f] in ({0, 1} if dropped else {1}) for f in rest), (name, argv)
+            assert sum(seen.values()) == len(seen), (name, argv)
+    assert no_children_left()
 
 
 @pytest.mark.parametrize("argv, seen", [
