@@ -1,10 +1,18 @@
-"""Exception types shared across the package, and the JSON reader raising them."""
+"""Exception types shared across the package, and the two readers of input: the JSON
+reader raising them, and the one reader of matrix rows, which every skeleton weight,
+implant and group element passes through.  Numpy-free, so that every verb loads it.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
+from itertools import chain
 
 MAX_DIMENSION = 12  # largest accepted n: a 12-cube already has 24576 edges
+NOT_A_MATRIX = "is not 9 numbers or a 3x3 nested list"
+_FLOAT_MAX = sys.float_info.max
 
 
 class NGroupoidError(Exception):
@@ -59,3 +67,28 @@ def read_json(path: str) -> object:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or too deep
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def packed_rows(rows: list) -> tuple[bytes, int | None]:
+    """The rows as float64 bytes, up to the first that is not 9 numbers (not booleans) or a
+    3x3 nested list, and its index, else None; an integer beyond the float range is infinite.
+    """
+    from array import array
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {9} \
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # a good file's rows, in one pass
+            return array("d", chain.from_iterable(rows)).tobytes(), None
+    packed = array("d")
+    for idx, row in enumerate(rows):
+        if isinstance(row, (list, tuple)) and len(row) == 3 \
+                and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in row):
+            row = [*chain.from_iterable(row)]
+        if not isinstance(row, (list, tuple)) or len(row) != 9 or not (
+                set(map(type, row)) <= {int, float}
+                or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
+            return packed.tobytes(), idx
+        try:
+            packed += array("d", row)
+        except OverflowError:
+            packed += array("d", [x if abs(x) <= _FLOAT_MAX else float("inf") for x in row])
+    return packed.tobytes(), None

@@ -26,6 +26,7 @@ from .matrices import (
     DEFAULT_TOL,
     IDENTITY,
     check_invertible,
+    check_tolerance,
     close_to_any,
     first_invalid,
     inv,
@@ -61,12 +62,13 @@ class SymmetryGroup:
 
     Validated on construction: contains the identity, is closed under
     product and inverse, and has no duplicate elements, all within the
-    comparison tolerance.
+    comparison tolerance ``tol``, a finite number > 0.
     """
 
     def __init__(self, elements: Iterable[object], name: str = "",
                  tol: float = DEFAULT_TOL):
         self.name = name
+        tol = check_tolerance(tol)
         self.elements = check_invertible(list(elements), lambda i: f"group element {i}")
         self.elements.flags.writeable = False
         self._validate(tol)

@@ -1,7 +1,7 @@
 """Numpy-free code: the skeleton file reader, which names every structural fault of a
-file and leaves only the numeric test of its weights to numpy, and forked children that
-work beside this process: a file's reader, forked only before numpy loads, and a batch's
-second half.
+file, reads its weights by errors.packed_rows and leaves only their numeric test to numpy,
+and forked children that work beside this process: a file's reader, forked only before
+numpy loads, and a batch's second half.
 """
 
 from __future__ import annotations
@@ -12,14 +12,10 @@ import functools
 import os
 import sys
 import warnings
-from array import array
 from collections.abc import Callable, Iterator
-from itertools import chain, islice
+from itertools import islice
 
-from .errors import MAX_DIMENSION, FormatError, read_json
-
-NOT_A_MATRIX = "is not 9 numbers or a 3x3 nested list"
-_FLOAT_MAX = sys.float_info.max
+from .errors import MAX_DIMENSION, NOT_A_MATRIX, FormatError, packed_rows, read_json
 
 
 def edge_fault(n: int, tail: int, axis: int) -> str | None:
@@ -46,30 +42,6 @@ def _record_fault(n: int, idx: int, rec: object) -> str:
             return f"{where}: {key!r} must be an integer, got {rec[key]!r}"
     edge = rec["tail"], rec["axis"]
     return f"{where}: {edge_fault(n, *edge) or f'duplicate edge {edge}'}"
-
-
-def _packed(rows: list) -> tuple[bytes, int | None]:
-    """The rows as float64 bytes, up to the first that is not 9 numbers (not booleans) or a
-    3x3 nested list, and its index, else None; an integer beyond the float range is infinite.
-    """
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {9} \
-            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        with contextlib.suppress(OverflowError):  # a good file's rows, in one pass
-            return array("d", chain.from_iterable(rows)).tobytes(), None
-    packed = array("d")
-    for idx, row in enumerate(rows):
-        if isinstance(row, (list, tuple)) and len(row) == 3 \
-                and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in row):
-            row = [*chain.from_iterable(row)]
-        if not isinstance(row, (list, tuple)) or len(row) != 9 or not (
-                set(map(type, row)) <= {int, float}
-                or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
-            return packed.tobytes(), idx
-        try:
-            packed += array("d", row)
-        except OverflowError:
-            packed += array("d", [x if abs(x) <= _FLOAT_MAX else float("inf") for x in row])
-    return packed.tobytes(), None
 
 
 def skeleton_parts(doc: object) -> tuple[int, list, bytes, list[int], str | None]:
@@ -105,7 +77,7 @@ def skeleton_parts(doc: object) -> tuple[int, list, bytes, list[int], str | None
                     rows.append(rec["weight"])
                     continue
         break
-    weights, malformed = _packed(rows)
+    weights, malformed = packed_rows(rows)
     fault = None  # a whole file
     if malformed is not None:
         fault = f"skeleton: edges[{malformed}]: weight {NOT_A_MATRIX}"

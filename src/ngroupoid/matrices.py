@@ -1,8 +1,10 @@
 """Small helpers around invertible 3x3 matrices.
 
 All weights in this package are real 3x3 matrices acting on reference
-crystal bases, stored as float64 numpy arrays.  Comparisons are relative
-Frobenius distances so that tolerances survive rescaling.
+crystal bases, stored as float64 numpy arrays.  Every matrix read from
+input, a skeleton weight, an implant or a group element, is read by
+errors.packed_rows and tested here by first_invalid.  Comparisons are
+relative Frobenius distances so that tolerances survive rescaling.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NOT_A_MATRIX, packed_rows
+
 DET_THRESHOLD = 1e-12
 DEFAULT_TOL = 1e-9
 
@@ -19,51 +23,22 @@ IDENTITY = np.eye(3)
 inv, det = np.linalg.inv, np.linalg.det  # every inverse and determinant; bits vary by BLAS kernel
 
 _SQRT3 = np.sqrt(3.0)
-_ROW_SHAPES = ((9,), (3, 3))
-
-
-def _numeric(data: object) -> bool:
-    """Whether data is a number, a numeric array, or lists of them; not a boolean or string."""
-    if isinstance(data, np.ndarray):
-        return data.dtype.kind in "iuf"
-    if isinstance(data, (list, tuple)):
-        return set(map(type, data)) <= {int, float} or all(map(_numeric, data))
-    return isinstance(data, (int, float, np.integer, np.floating)) and not isinstance(data, bool)
-
-
-def matrices(rows: Sequence) -> np.ndarray | None:
-    """One or more rows, all 9 numbers or all 3x3 nested lists, as a (k, 3, 3) stack; else None."""
-    if not _numeric(rows):
-        return None
-    try:
-        ms = np.array(rows, dtype=float)
-    except OverflowError:  # an integer beyond the float range: read as infinite
-        ms = np.vectorize(lambda x: x if abs(x) <= sys.float_info.max else np.inf,
-                          otypes=[float])(np.array(rows, dtype=object))
-    except (ValueError, TypeError):
-        return None
-    return ms.reshape(-1, 3, 3) if ms.shape[1:] in _ROW_SHAPES else None
 
 
 def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
-    """Matrices read from input as one finite, invertible float64 (k, 3, 3) stack.
+    """Rows read from input as one finite, invertible, writable float64 (k, 3, 3) stack.
 
-    Each row must be 9 numbers (not booleans or strings), row-major, or a
-    3x3 nested list, finite, with |det| > DET_THRESHOLD.  The first bad row
-    in order raises ValueError naming it, ``name(i)``, and the reason.
+    Each row is read by errors.packed_rows, a numpy array by its tolist(),
+    and must have |det| > DET_THRESHOLD.  The first bad row in order raises
+    ValueError naming it, ``name(i)``, and the reason.
     """
-    ms, malformed = matrices(rows), None
-    if ms is None:
-        # ragged, mixed-shape or non-numeric rows: coerce each on its own;
-        # the rows before the first malformed one still go through first_invalid
-        each = [matrices([row]) for row in rows]
-        malformed = next((i for i, m in enumerate(each) if m is None), None)
-        ms = np.array(each[:malformed]).reshape(-1, 3, 3)
+    packed, malformed = packed_rows([r.tolist() if isinstance(r, np.ndarray) else r
+                                     for r in rows])
+    ms = np.frombuffer(packed).reshape(-1, 3, 3).copy()
     bad = first_invalid(ms)
     if bad:
         raise ValueError(f"{name(bad[0])} {bad[1]}")
     if malformed is not None:
-        from .lean import NOT_A_MATRIX  # the skeleton reader's text
         raise ValueError(f"{name(malformed)} {NOT_A_MATRIX}")
     return ms
 

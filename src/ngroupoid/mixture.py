@@ -15,7 +15,8 @@ Mixtures are ingested from JSON documents:
 
 ``tolerance`` is optional; it must be a finite number > 0.  Point labels
 are strings, and implant keys must reference declared base points.  A
-``MixtureSpec`` built in Python may also label points with integers.
+``MixtureSpec`` built in Python may also label points with integers; it
+needs a base point and checks its tolerance as the reader does.
 """
 
 from __future__ import annotations
@@ -43,8 +44,14 @@ class MixtureSpec:
             raise FormatError(
                 f"n = {self.n} but {len(self.constituents)} constituents declared"
             )
+        if not self.base_points:
+            raise FormatError("base point set is empty")
         if len(set(self.base_points)) != len(self.base_points):
             raise FormatError("duplicate base point labels")
+        try:
+            self.tolerance = check_tolerance(self.tolerance)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
         names = [c.name for c in self.constituents]
         if len(set(names)) != len(names):
             raise FormatError("duplicate constituent names")

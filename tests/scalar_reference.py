@@ -6,16 +6,18 @@ hypercube enumerations and by loops over group elements.  The batched code
 must reproduce their results bit for bit.  The uniformity decision is kept
 as its original core test of every ordered pair of points.  The skeleton
 reader is kept as its loop of one check after another per edge record,
-and the potential draws as one matrix per call.
+reading and testing each weight on its own, and the potential draws as one
+matrix per call.
 """
 import json
+import math
 
 import numpy as np
 
 from ngroupoid.analysis import FaceWitness, UniformityReport
-from ngroupoid.errors import ConstructionHalted, FormatError
+from ngroupoid.errors import NOT_A_MATRIX, ConstructionHalted, FormatError
 from ngroupoid.hypercube import MAX_DIMENSION, Edge, HypercubeSkeleton
-from ngroupoid.matrices import DEFAULT_TOL, IDENTITY, check_invertible, identity_deviation
+from ngroupoid.matrices import DEFAULT_TOL, DET_THRESHOLD, IDENTITY, identity_deviation
 from ngroupoid.skeleton import ObjectiveSkeleton, skeleton_to_dict
 
 
@@ -313,6 +315,26 @@ def random_invertible(rng):
             return m
 
 
+def read_weight(w):
+    """One weight as a 3x3 float64 matrix, or None where it is not 9 numbers or a 3x3
+    nested list; an integer beyond the float range reads as infinite.
+    """
+    if isinstance(w, (list, tuple)) and len(w) == 3 \
+            and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in w):
+        w = [x for r in w for x in r]
+    if not isinstance(w, (list, tuple)) or len(w) != 9:
+        return None
+    entries = []
+    for x in w:
+        if type(x) not in (int, float):
+            return None
+        try:
+            entries.append(float(x))
+        except OverflowError:
+            entries.append(math.inf if x > 0 else -math.inf)
+    return np.array(entries, dtype=float).reshape(3, 3)
+
+
 def skeleton_from_dict(doc):
     """The skeleton reader with every check run on its own for each edge record."""
     if not isinstance(doc, dict):
@@ -337,10 +359,19 @@ def skeleton_from_dict(doc):
     rows = []  # rows[idx] is the weight of edges[idx]
 
     def weights():
-        try:
-            return check_invertible(rows, lambda i: f"edges[{i}]: weight")
-        except ValueError as exc:
-            raise FormatError(f"skeleton: {exc}") from exc
+        """The weights read so far as a stack; the first bad one in file order raises."""
+        W = []
+        for i, w in enumerate(rows):
+            m, where = read_weight(w), f"skeleton: edges[{i}]: weight"
+            if m is None:
+                raise FormatError(f"{where} {NOT_A_MATRIX}")
+            if not np.isfinite(m).all():
+                raise FormatError(f"{where} has non-finite entries")
+            d = np.linalg.det(m)
+            if abs(d) <= DET_THRESHOLD:
+                raise FormatError(f"{where} is numerically singular (det={d:.3e})")
+            W.append(m)
+        return np.array(W, dtype=float).reshape(-1, 3, 3)
 
     try:
         for idx, rec in enumerate(edges):

@@ -155,6 +155,24 @@ def test_group_rejects_duplicates():
         SymmetryGroup([I3, I3])
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_mixture_spec_checks_its_tolerance(tol):
+    a, b = (ConstituentGroupoid(name, {"X": I3}, SymmetryGroup.from_spec("trivial"))
+            for name in "ab")
+    with pytest.raises(FormatError, match="^tolerance must be a finite number > 0, got "):
+        MixtureSpec(2, ("X",), (a, b), tolerance=tol)
+
+
+def test_mixture_spec_rejects_an_empty_base():
+    with pytest.raises(FormatError, match="^base point set is empty$"):
+        MixtureSpec(1, (), (make_constituent({"X": I3}),))
+
+
+def test_group_checks_its_tolerance():
+    with pytest.raises(ValueError, match=r"^tolerance must be a finite number > 0, got -1\.0$"):
+        SymmetryGroup([I3], tol=-1.0)
+
+
 def test_group_unknown_preset():
     with pytest.raises(GroupValidationError):
         SymmetryGroup.from_spec("icosahedral")

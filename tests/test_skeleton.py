@@ -331,33 +331,43 @@ def test_from_dict_mixed_flat_and_nested_weights():
 
 
 NESTED_SHEAR = np.reshape(SHEAR, (3, 3)).tolist()
-# (rows, the literal error message; None where the rows are accepted)
+FLOAT_MAX = int(np.finfo(float).max)  # 2**1024 - 2**971; up to 2**1024 - 2**970 rounds to it
+NOT_A_MATRIX = "row 1 is not 9 numbers or a 3x3 nested list"
+# (rows, the literal error message, or the 9 entries of each matrix read)
 INVERTIBLE_CASES = {
-    "eight numbers": ([I9, [1.0] * 8], "row 1 is not 9 numbers or a 3x3 nested list"),
+    "eight numbers": ([I9, [1.0] * 8], NOT_A_MATRIX),
     "booleans": ([I9, [True, False, False, False, True, False, False, False, True]],
-                 "row 1 is not 9 numbers or a 3x3 nested list"),
-    "string entry": ([I9, [1, 0, 0, 0, 1, 0, 0, 0, "1"]],
-                     "row 1 is not 9 numbers or a 3x3 nested list"),
+                 NOT_A_MATRIX),
+    "string entry": ([I9, [1, 0, 0, 0, 1, 0, 0, 0, "1"]], NOT_A_MATRIX),
     "too large for a float": ([I9, [10**400, 0, 0, 0, 1, 0, 0, 0, 1]],
                               "row 1 has non-finite entries"),
+    "beyond 2**1024 beside the largest float": (
+        [I9, [2**1024 + 1, FLOAT_MAX + 2**969, 0, 0, 1, 0, 0, 0, 1]],
+        "row 1 has non-finite entries"),
     "singular before short": ([I9, [0.0] * 9, [1.0] * 8],
                               "row 1 is numerically singular (det=0.000e+00)"),
-    "short before singular": ([I9, [1.0] * 8, [0.0] * 9],
-                              "row 1 is not 9 numbers or a 3x3 nested list"),
-    "flat and nested": ([I9, NESTED_SHEAR, SHEAR], None),
+    "short before singular": ([I9, [1.0] * 8, [0.0] * 9], NOT_A_MATRIX),
+    "flat and nested": ([I9, NESTED_SHEAR, SHEAR], [I9, SHEAR, SHEAR]),
+    "tuple": ([I9, tuple(SHEAR)], [I9, SHEAR]),
+    "numpy 9 numbers": ([I9, np.array(SHEAR, dtype=float)], [I9, SHEAR]),
+    "numpy 3x3": ([I9, np.reshape(SHEAR, (3, 3))], [I9, SHEAR]),
+    "numpy float64 entries": ([I9, [np.float64(x) for x in SHEAR]], [I9, SHEAR]),
+    "numpy booleans": ([I9, np.array(SHEAR, dtype=bool)], NOT_A_MATRIX),
+    "numpy int64 entry": ([I9, [np.int64(1), *SHEAR[1:]]], NOT_A_MATRIX),
 }
 
 
 @pytest.mark.parametrize("case", INVERTIBLE_CASES)
 def test_check_invertible_messages(case):
-    rows, message = INVERTIBLE_CASES[case]
-    if message is not None:
+    rows, expected = INVERTIBLE_CASES[case]
+    if isinstance(expected, str):
         with pytest.raises(ValueError) as exc:
             check_invertible(rows, lambda i: f"row {i}")
-        assert str(exc.value) == message
+        assert str(exc.value) == expected
         return
     ms = check_invertible(rows, lambda i: f"row {i}")
-    assert ms.dtype == np.float64 and np.array_equal(ms, np.reshape([I9, SHEAR, SHEAR], (3, 3, 3)))
+    assert ms.dtype == np.float64 and ms.flags.writeable
+    assert np.array_equal(ms, np.reshape(expected, (-1, 3, 3)))
 
 
 # SHA-256 of `generate --n 12 --seed 0` stdout, recorded with the json.dumps writer
