@@ -28,14 +28,18 @@ def _fail(msg: str) -> int:
 def tolerance(text: str) -> float:
     """argparse type of every --tol flag: a finite number > 0."""
     from .matrices import check_tolerance
-    return check_tolerance(float(text))
+    value = float(text)  # text that is no number gets argparse's own message
+    try:
+        return check_tolerance(value)
+    except ValueError as exc:  # argparse prints only an ArgumentTypeError's words
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def seed(text: str) -> int:
     """argparse type of every --seed flag: an integer >= 0."""
     value = int(text)
     if value < 0:
-        raise ValueError(f"seed must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
     return value
 
 
@@ -89,11 +93,11 @@ def cmd_skeleton(args) -> int:
 def cmd_check(args) -> int:
     from .lean import read_in_child
     path = args.skeleton_file
-    with read_in_child(path) as lean:  # a large file is read in a child while numpy loads
+    with read_in_child(path) as read:  # a large file is read in a child while numpy loads
         from .analysis import conservative_oracle, is_conservative
         from .matrices import DEFAULT_TOL
-        from .skeleton import skeleton_from_lean
-        T = skeleton_from_lean(lean())
+        from .skeleton import skeleton_from_parts
+        T = skeleton_from_parts(*read())
     tol = args.tol
     if args.mixture:
         from .mixture import load_mixture
@@ -195,11 +199,11 @@ def cmd_verify_theorem(args) -> int:
 def cmd_compose(args) -> int:
     from .lean import read_in_child
     # large files are read in children while numpy loads; the first file's error comes first
-    with read_in_child(args.first) as lean_first, read_in_child(args.second) as lean_second:
+    with read_in_child(args.first) as read_first, read_in_child(args.second) as read_second:
         from .matrices import DEFAULT_TOL
-        from .skeleton import compose, dump_skeleton, skeleton_from_lean
-        first = skeleton_from_lean(lean_first())
-        second = skeleton_from_lean(lean_second())
+        from .skeleton import compose, dump_skeleton, skeleton_from_parts
+        first = skeleton_from_parts(*read_first())
+        second = skeleton_from_parts(*read_second())
     if not 1 <= args.axis <= max(first.n, second.n):
         return _fail(f"--axis must lie in 1..{max(first.n, second.n)}, got {args.axis}")
     tol = DEFAULT_TOL if args.tol is None else args.tol

@@ -39,6 +39,9 @@ class ConstructionHalted(NGroupoidError):
             f"for edge {tuple(edge)}"
         )
 
+    def __reduce__(self):  # a copy is rebuilt from its four fields, not from its message
+        return type(self), (self.edge, self.axis, self.source, self.target)
+
 
 class GroupValidationError(NGroupoidError):
     """An element list fails the finite-group axioms."""

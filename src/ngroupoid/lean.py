@@ -1,14 +1,13 @@
 """Numpy-free code: the skeleton file reader, which names every structural fault of a
 file, reads its weights by errors.packed_rows and leaves only their numeric test to numpy,
-and forked children that work beside this process: a file's reader, forked only before
-numpy loads, and a batch's second half.
+and forked children that work beside this process and send back what their work returned
+or raised: a file's reader, forked only before numpy loads, and a batch's second half.
 """
 
 from __future__ import annotations
 
 import _signal  # signal's C core, already loaded; `import signal` builds enums at each start
 import contextlib
-import functools
 import os
 import sys
 import warnings
@@ -91,30 +90,21 @@ def skeleton_parts(doc: object) -> tuple[int, list, bytes, list[int], str | None
     return n, vertices, weights, [r for r in slots if r >= 0], fault
 
 
-def lean_skeleton(path: str) -> bytes:
-    """skeleton_parts of a skeleton file, marshalled; or the text of its FormatError."""
-    import marshal
-    try:
-        return marshal.dumps(skeleton_parts(read_json(path)))
-    except FormatError as exc:
-        return marshal.dumps(str(exc))
-
-
 # a skeleton file is read in a child only from this size on; below it the
 # fork costs more than the parse it overlaps with numpy's import (a generated
 # n=9 file holds about 0.75 MB, an n=8 file 0.34 MB)
 _LEAN_BYTES = 1 << 19
 
 
-def read_in_child(path: str) -> contextlib.AbstractContextManager[Callable[[], bytes]]:
-    """``_in_child(lambda: lean_skeleton(path))`` for a file of _LEAN_BYTES or more.
+def read_in_child(path: str) -> contextlib.AbstractContextManager[Callable[[], tuple]]:
+    """A getter that returns ``skeleton_parts(read_json(path))`` or raises its FormatError.
 
-    Only while numpy is not loaded: after that there is no import left to
+    It runs in a child (_in_child) for a file of _LEAN_BYTES or more, and
+    only while numpy is not loaded: after that there is no import left to
     overlap, and forking the larger process costs more than it saves.
-    Otherwise, and for a file whose size cannot be read, the getter runs
-    lean_skeleton(path) here.
+    Otherwise, and for a file whose size cannot be read, it reads the file here.
     """
-    read = functools.partial(lean_skeleton, path)
+    read = lambda: skeleton_parts(read_json(path))
     with contextlib.suppress(OSError):
         if "numpy" not in sys.modules and os.path.getsize(path) >= _LEAN_BYTES:
             return _in_child(read)
@@ -134,21 +124,21 @@ def in_halves(fn: Callable[[slice], object], size: int) -> list:
     half = size // 2
     if half < _SPLIT_ITEMS:
         return [fn(slice(None))]
-    import pickle
-    with _in_child(lambda: pickle.dumps(fn(slice(half, None)))) as rest:
-        return [fn(slice(half)), pickle.loads(rest())]
+    with _in_child(lambda: fn(slice(half, None))) as rest:
+        return [fn(slice(half)), rest()]
 
 
 @contextlib.contextmanager
-def _in_child(fn: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
-    """Run ``fn`` in a forked child while the block runs; yield a getter of its bytes.
+def _in_child(fn: Callable[[], object]) -> Iterator[Callable[[], object]]:
+    """Run ``fn`` in a forked child while the block runs; yield a getter of its outcome.
 
-    The getter waits for the child and returns the bytes ``fn`` returned
-    there.  Where the child failed, or this platform cannot fork, the getter
-    runs ``fn`` here instead, so its result or error is that of ``fn``
-    alone.  Leaving the block before the getter returned, by an exception or
-    an interrupt, kills and reaps the child.
+    The getter waits for the child and returns what ``fn`` returned there,
+    or raises the Exception it raised.  Only where the child died, this
+    platform cannot fork, or the outcome cannot be unpickled does the getter
+    run ``fn`` here instead.  Leaving the block before the getter returned,
+    by an exception or an interrupt, kills and reaps the child.
     """
+    import pickle  # numpy imports it as well: no cost to a parent that loads numpy
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -168,19 +158,29 @@ def _in_child(fn: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
         status = 1
         try:
             os.close(r)
+            try:
+                outcome = True, fn()
+            except Exception as exc:
+                outcome = False, exc
             with open(w, "wb") as out:
-                out.write(fn())
+                pickle.dump(outcome, out)
             status = 0
         finally:
             os._exit(status)
     reaped = False
 
-    def result() -> bytes:
+    def result() -> object:
         nonlocal reaped
         data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
+        os.waitpid(pid, 0)
         reaped = True
-        return data if status == 0 else fn()
+        try:
+            returned, value = pickle.loads(data)
+        except Exception:  # a child that died leaves no whole outcome: run fn here
+            return fn()
+        if returned:
+            return value
+        raise value
 
     try:
         os.close(w)

@@ -4,15 +4,14 @@ An objective skeleton assigns one base point to each hypercube vertex and
 one invertible arrow to each oriented edge; class-I edges carry arrows of
 the I-th constituent.  Skeletons compose along each axis by gluing a target
 facet to a matching source facet and multiplying the connecting weights.
-A skeleton file is read by lean.skeleton_parts, in a child or here; this
-module only builds the skeleton from what it read and tests the weights' numbers.
+A skeleton file is read by lean.skeleton_parts, in a child or here; skeleton_from_parts
+only builds the skeleton from those parts and tests the weights' numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import marshal
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -258,8 +257,8 @@ def skeleton_to_dict(T: ObjectiveSkeleton) -> dict:
     }
 
 
-def _from_parts(n: int, vertices: list, weights: bytes, order: list[int],
-                fault: str | None) -> ObjectiveSkeleton:
+def skeleton_from_parts(n: int, vertices: list, weights: bytes, order: list[int],
+                        fault: str | None) -> ObjectiveSkeleton:
     """The skeleton whose parts lean.skeleton_parts read; else a FormatError naming the
     first bad weight in file order or, where there is none, the structural fault.
     """
@@ -272,7 +271,7 @@ def _from_parts(n: int, vertices: list, weights: bytes, order: list[int],
 
 
 def skeleton_from_dict(doc: object) -> ObjectiveSkeleton:
-    return _from_parts(*skeleton_parts(doc))
+    return skeleton_from_parts(*skeleton_parts(doc))
 
 
 # One edge record as json.dumps(indent=2) lays it out; %r is float.__repr__,
@@ -306,11 +305,3 @@ def save_skeleton(T: ObjectiveSkeleton, path: str) -> None:
 
 def load_skeleton(path: str) -> ObjectiveSkeleton:
     return skeleton_from_dict(read_json(path))
-
-
-def skeleton_from_lean(lean: bytes) -> ObjectiveSkeleton:
-    """load_skeleton of a file, from ``lean``, the bytes lean.lean_skeleton returned for it."""
-    parts = marshal.loads(lean)
-    if isinstance(parts, str):
-        raise FormatError(parts)
-    return _from_parts(*parts)

@@ -47,7 +47,7 @@ from ngroupoid.errors import (
 )
 from ngroupoid.groupoid import ConstituentGroupoid, SymmetryGroup
 from ngroupoid.hypercube import HypercubeSkeleton
-from ngroupoid.lean import lean_skeleton
+from ngroupoid.lean import read_in_child
 from ngroupoid.matrices import DEFAULT_TOL as TOL
 from ngroupoid.matrices import (
     close_to_any,
@@ -65,7 +65,7 @@ from ngroupoid.skeleton import (
     dump_skeleton,
     inverse_axis,
     skeleton_from_dict,
-    skeleton_from_lean,
+    skeleton_from_parts,
     skeleton_to_dict,
     source_facet,
     target_facet,
@@ -738,11 +738,12 @@ def _read(reader, doc):
 
 
 def read_as_check(doc):
-    """The skeleton in doc as check reads it: from a file, through the reading child's bytes."""
+    """The skeleton in doc as check reads it: from a file, through read_in_child's getter."""
     with tempfile.TemporaryDirectory() as directory:
         path = str(pathlib.Path(directory) / "skeleton.json")
         pathlib.Path(path).write_text(json.dumps(doc), encoding="utf-8")
-        return skeleton_from_lean(lean_skeleton(path))
+        with read_in_child(path) as read:
+            return skeleton_from_parts(*read())
 
 
 @pytest.mark.parametrize("case", RECORD_CASES)

@@ -384,7 +384,10 @@ def test_bad_tol_flag_is_an_input_error(run_cli, tmp_path, capsys, tol):
                  ("verify-theorem", "--n", 3, "--trials", 3)]:
         capsys.readouterr()
         assert run_cli(*argv, "--tol", tol) == (2, "")
-        assert f"argument --tol: invalid tolerance value: '{tol}'" in capsys.readouterr().err
+        # argparse names text that is no number; check_tolerance names a number out of range
+        why = ("invalid tolerance value: 'x'" if tol == "x"
+               else f"tolerance must be a finite number > 0, got {float(tol)!r}")
+        assert f"argument --tol: {why}\n" in capsys.readouterr().err
 
 
 # each document is mixture_identical.json with one header field, or one matrix
@@ -397,6 +400,7 @@ BAD_HEADER = [
     ('"tolerance"', "0"),
     ('"tolerance"', '"1e-9"'),
     ('"n"', "true"),
+    ('"constituents"', '{"alpha": {}}'),
     ('"base_points"', '[["X"], ["Y"]]'),
     ('"base_points"', '["X", 1]'),
     ("implant at 'Y'", '["1", 1, 0, 0, 1, 0, 0, 0, 1]'),
@@ -506,6 +510,9 @@ def run_python(args, cwd, text=True) -> subprocess.CompletedProcess:
                           env=python_env())
 
 
+# one constituent that the mixture reader accepts
+TRIVIAL = b'{"symmetry": "trivial", "implants": {}}'
+
 # (verb arguments, input file bytes or None, text the error line must hold);
 # the file, when there is one, is the last argument, and {path} stands for it
 BAD_INPUTS = [
@@ -513,19 +520,41 @@ BAD_INPUTS = [
     (("check",), b"[" * 200_000 + b"]" * 200_000, "{path}: maximum recursion depth exceeded"),
     (("check",), b'{"n": 14286, "vertices": [], "edges": []}',
      "skeleton: 'n' must be an integer in 1..12, got 14286"),
-    (("generate", "--n", "2", "--seed", "-1"), None, "invalid seed value: '-1'"),
+    (("generate", "--n", "2", "--seed", "-1"), None, "argument --seed: seed must be >= 0, got -1"),
     (("verify-theorem", "--n", "2", "--trials", "1", "--seed", "-5"), None,
-     "invalid seed value: '-5'"),
+     "argument --seed: seed must be >= 0, got -5"),
     (("check",), b'{"n": 1' + b"0" * 5000 + b', "vertices": [], "edges": []}',
      "{path}: Exceeds the limit (4300 digits) for integer string conversion"),
     (("uniformity",), b'{"n": 1, "base_points": ["X"], "tolerance": 1' + b"0" * 5000 + b"}",
      "{path}: Exceeds the limit (4300 digits) for integer string conversion"),
+    (("check",), b"[]", "skeleton document must be an object"),
+    (("check",), b'{"n": 1, "vertices": [0, 1], "edges": {}}', "skeleton: 'edges' must be a list"),
+    (("uniformity",), b"[]", "mixture document must be an object"),
+    (("uniformity",), b'{"n": 1}', "mixture: missing field 'base_points'"),
+    (("uniformity",), b'{"n": 1, "base_points": ["X"], "constituents": [{"implants": {}}]}',
+     "constituent[0]: missing field 'symmetry'"),
+    (("uniformity",), b'{"n": 1, "base_points": ["X"], "constituents": [1]}',
+     "constituent[0]: must be an object"),
+    (("uniformity",), b'{"n": 1, "base_points": ["X"], '
+                      b'"constituents": [{"symmetry": "trivial", "implants": []}]}',
+     "constituent[0]: field 'implants' must be an object"),
+    (("uniformity",), b'{"n": 0, "base_points": ["X"], "constituents": []}',
+     "constituent count must be >= 1, got 0"),
+    (("uniformity",), b'{"n": 2, "base_points": ["X"], "constituents": [' + TRIVIAL + b"]}",
+     "n = 2 but 1 constituents declared"),
+    (("uniformity",), b'{"n": 1, "base_points": ["X", "X"], "constituents": [' + TRIVIAL + b"]}",
+     "duplicate base point labels"),
 ]
 
 
 @pytest.mark.parametrize("argv, content, message", BAD_INPUTS,
                          ids=["not-utf8", "deep-nesting", "huge-n", "generate-seed",
-                              "verify-seed", "overlong-n", "overlong-tolerance"])
+                              "verify-seed", "overlong-n", "overlong-tolerance",
+                              "skeleton-not-an-object", "edges-not-a-list",
+                              "mixture-not-an-object", "mixture-field-missing",
+                              "constituent-field-missing", "constituent-not-an-object",
+                              "implants-not-an-object", "no-constituents",
+                              "n-not-the-constituent-count", "duplicate-base-points"])
 def test_bad_input_exits_2_without_a_traceback(tmp_path, argv, content, message):
     # a subprocess, because only the interpreter's own exit shows an uncaught exception
     path = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import threading
 import time
 import types
@@ -29,14 +30,15 @@ from ngroupoid.analysis import (
     random_conservative,
 )
 from ngroupoid.errors import FormatError
-from ngroupoid.lean import _in_child, lean_skeleton
+from ngroupoid.hypercube import Edge
+from ngroupoid.lean import _in_child, read_in_child
 from ngroupoid.skeleton import (
     ObjectiveSkeleton,
     compose,
     dump_skeleton,
     load_skeleton,
     save_skeleton,
-    skeleton_from_lean,
+    skeleton_from_parts,
     skeleton_to_dict,
 )
 
@@ -140,20 +142,62 @@ def test_leaving_the_block_early_kills_and_reaps_the_child():
     assert no_children_left()
 
 
-def test_child_error_reruns_here_and_raises_its_own_error():
+def test_child_error_is_raised_here_without_a_rerun():
+    calls = []
+
     def fails():
+        calls.append(1)  # in the child, this list is the child's copy
         raise FormatError("second file")
 
     with pytest.raises(FormatError, match="second file"):
         with _in_child(fails) as result:
             result()
-    assert no_children_left()
+    assert calls == [] and no_children_left()
 
 
-@pytest.mark.parametrize("load", [
-    load_skeleton,
-    lambda path: skeleton_from_lean(lean_skeleton(path)),
-], ids=["load_skeleton", "skeleton_from_lean"])
+class Unloadable:
+    """A value that pickles, but whose unpickling raises."""
+
+    def __reduce__(self):
+        return int, ("no number",)
+
+
+def test_outcome_that_does_not_unpickle_runs_here():
+    calls = []
+
+    def unloadable():
+        calls.append(1)
+        return Unloadable()
+
+    with _in_child(unloadable) as result:
+        assert isinstance(result(), Unloadable)
+    assert calls == [1] and no_children_left()
+
+
+def every_error():
+    """One instance of each exception class in ngroupoid.errors."""
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, Exception) \
+                and cls.__module__ == errors.__name__:
+            args = (Edge(0, 1), 1, "X", "Y") if cls is errors.ConstructionHalted else ("why",)
+            yield pytest.param(cls(*args), id=cls.__name__)
+
+
+@pytest.mark.parametrize("exc", every_error())
+def test_every_error_survives_the_pipe(exc):
+    # a child's exception comes back pickled; one that did not unpickle would be run again here
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), str(back), vars(back)) == (type(exc), str(exc), vars(exc))
+
+
+def read_as_check(path):
+    """The skeleton at path as check builds it, from read_in_child's getter."""
+    with read_in_child(path) as read:
+        return skeleton_from_parts(*read())
+
+
+@pytest.mark.parametrize("load", [load_skeleton, read_as_check],
+                         ids=["load_skeleton", "read_as_check"])
 def test_one_weight_check_per_file(monkeypatch, tmp_path, load):
     a = tmp_path / "a.json"
     save_skeleton(random_conservative(3, seed=1), str(a))
@@ -295,10 +339,13 @@ CHECK_INPUTS = {
                       for t in range(2**13) for a in range(1, 14) if not t >> (13 - a) & 1]},
     "missing-file": None,
     "bad-json": "{nope",
+    # of _LEAN_BYTES or more, so that a reading child raises their errors
+    "large-not-utf8": b"\xff\xfe" + b" " * (1 << 19),
+    "large-deep-nesting": b"[" * 300_000 + b"]" * 300_000,
 }
 # the inputs check rejects
 INPUT_ERRORS = {"integer-above-1e308", "nan-weight", "bool-weight", "duplicate-record", "n13",
-                "missing-file", "bad-json"}
+                "missing-file", "bad-json", "large-not-utf8", "large-deep-nesting"}
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +355,9 @@ def check_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("check")
     paths = {name: directory / f"{name}.json" for name in [*CHECK_INPUTS, "n12"]}
     for name, content in CHECK_INPUTS.items():
-        if content is not None:
+        if isinstance(content, bytes):
+            paths[name].write_bytes(content)
+        elif content is not None:
             text = content if isinstance(content, str) else json.dumps(content)
             paths[name].write_text(text, encoding="utf-8")
     T = random_conservative(12, seed=3)
@@ -343,12 +392,8 @@ def test_check_matches_load_skeleton_in_one_process(monkeypatch, tmp_path, check
     runs = [["check", path]]
     if fork == "fork":
         runs += [["compose", path, good, "--axis", 1], ["compose", good, path, "--axis", 1]]
-    with monkeypatch.context() as one_process:
-        # the getter hands the path to load_skeleton
-        one_process.setattr(lean_module, "read_in_child",
-                            lambda path: contextlib.nullcontext(lambda: path))
-        one_process.setattr(skeleton_module, "skeleton_from_lean", load_skeleton)
-        want = [run_verb(argv, out) for argv in runs]
+    # with numpy loaded, read_in_child's getter reads each file here, as load_skeleton does
+    want = [run_verb(argv, out) for argv in runs]
     read_every_file_in_a_child(monkeypatch)
     if fork == "no-fork":
         monkeypatch.delattr(os, "fork")
@@ -368,16 +413,16 @@ def ref_read(path):
 
 
 def test_check_decides_every_file_from_the_childs_bytes(monkeypatch, check_files):
-    for name in CHECK_INPUTS:
-        path = str(check_files[name])
+    read_every_file_in_a_child(monkeypatch)
+    for name in [name for name, content in CHECK_INPUTS.items() if content is not None]:
+        path = str(check_files[name])  # a file, so a child reads it
         want = ref_read(path)
-        lean = lean_skeleton(path)
-        with monkeypatch.context() as m:  # no second parse
+        with read_in_child(path) as read, monkeypatch.context() as m:  # no second parse here
             m.setattr(errors, "read_json", None)
             m.setattr(lean_module, "read_json", None)
             m.setattr(skeleton_module, "read_json", None)
             try:
-                got = skeleton_from_lean(lean)
+                got = skeleton_from_parts(*read())
             except FormatError as exc:
                 got = str(exc)
         assert isinstance(got, str) == (name in INPUT_ERRORS), name
