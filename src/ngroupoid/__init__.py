@@ -23,12 +23,12 @@ _EXPORTS = {
         "random_interchange_quadruple", "skeleton_from_potential", "theorem_sweep",
     ),
     "errors": (
-        "CompositionError", "ConstructionHalted", "FormatError", "GroupValidationError",
-        "NGroupoidError", "PathError", "UnknownBasePointError",
+        "CompositionError", "ConstructionHalted", "DEFAULT_TOL", "FormatError",
+        "GroupValidationError", "NGroupoidError", "PathError", "UnknownBasePointError",
     ),
     "groupoid": ("ConstituentGroupoid", "SymmetryGroup"),
     "hypercube": ("Edge", "Face", "HypercubeSkeleton", "count_faces"),
-    "matrices": ("DEFAULT_TOL", "DET_THRESHOLD", "identity_deviation", "rel_distance"),
+    "matrices": ("DET_THRESHOLD", "identity_deviation", "rel_distance"),
     "mixture": ("MixtureSpec", "load_mixture", "mixture_from_dict"),
     "skeleton": (
         "ObjectiveSkeleton", "build", "compose", "dump_skeleton", "interchange_check",

@@ -13,11 +13,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PathError, UnknownBasePointError
+from .errors import DEFAULT_TOL, PathError, UnknownBasePointError, check_tolerance
 from .matrices import (
-    DEFAULT_TOL,
     IDENTITY,
-    check_tolerance,
     close_to_any,
     identity_deviations,
     inv,

@@ -4,7 +4,8 @@ Verbs: skeleton, check, uniformity, generate, verify-theorem, compose.
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 input
 error, 3 internal inconsistency (the two conservativity checkers disagree).
 All output is deterministic for identical inputs and seeds.  Each verb
-imports the package modules it runs, so none loads code it does not use.
+imports the package modules it runs, so none loads code it does not use,
+and judges its flags by the numpy-free errors before it loads numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CompositionError, NGroupoidError
+from .errors import DEFAULT_TOL, MAX_DIMENSION, CompositionError, NGroupoidError, check_tolerance
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -27,7 +28,6 @@ def _fail(msg: str) -> int:
 
 def tolerance(text: str) -> float:
     """argparse type of every --tol flag: a finite number > 0."""
-    from .matrices import check_tolerance
     value = float(text)  # text that is no number gets argparse's own message
     try:
         return check_tolerance(value)
@@ -61,13 +61,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_skeleton(args) -> int:
-    from .hypercube import MAX_DIMENSION, HypercubeSkeleton, count_faces
     n = args.n
     if not 1 <= n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {n}")
+    if args.h is not None and not 0 <= args.h < n:
+        return _fail(f"--h must lie in 0..{n - 1}, got {args.h}")
+    from .hypercube import HypercubeSkeleton, count_faces
     if args.h is not None:
-        if not 0 <= args.h < n:
-            return _fail(f"--h must lie in 0..{n - 1}, got {args.h}")
         print(count_faces(n, args.h))
         return EXIT_OK
     skel = HypercubeSkeleton(n)
@@ -95,7 +95,6 @@ def cmd_check(args) -> int:
     path = args.skeleton_file
     with read_in_child(path) as read:  # a large file is read in a child while numpy loads
         from .analysis import conservative_oracle, is_conservative
-        from .matrices import DEFAULT_TOL
         from .skeleton import skeleton_from_parts
         T = skeleton_from_parts(*read())
     tol = args.tol
@@ -157,12 +156,11 @@ def cmd_uniformity(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    import numpy as np
-    from .analysis import perturb_edge, random_conservative
-    from .hypercube import MAX_DIMENSION
-    from .skeleton import dump_skeleton
     if not 1 <= args.n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 1..{MAX_DIMENSION}, got {args.n}")
+    import numpy as np
+    from .analysis import perturb_edge, random_conservative
+    from .skeleton import dump_skeleton
     rng = np.random.default_rng(args.seed)
     T = random_conservative(args.n, rng)
     if args.mode == "perturbed":
@@ -172,13 +170,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    from .analysis import theorem_sweep
-    from .hypercube import MAX_DIMENSION
-    from .matrices import DEFAULT_TOL
     if not 2 <= args.n <= MAX_DIMENSION:
         return _fail(f"--n must lie in 2..{MAX_DIMENSION}, got {args.n}")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
+    from .analysis import theorem_sweep
     tol = DEFAULT_TOL if args.tol is None else args.tol
     res = theorem_sweep(args.n, args.trials, args.seed, tol)
     t = res["trials"]
@@ -200,7 +196,6 @@ def cmd_compose(args) -> int:
     from .lean import read_in_child
     # large files are read in children while numpy loads; the first file's error comes first
     with read_in_child(args.first) as read_first, read_in_child(args.second) as read_second:
-        from .matrices import DEFAULT_TOL
         from .skeleton import compose, dump_skeleton, skeleton_from_parts
         first = skeleton_from_parts(*read_first())
         second = skeleton_from_parts(*read_second())

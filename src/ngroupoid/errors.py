@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the two readers of input: the JSON
-reader raising them, and the one reader of matrix rows, which every skeleton weight,
-implant and group element passes through.  Numpy-free, so that every verb loads it.
+"""Exception types shared across the package, the rules of the largest dimension and of a
+comparison tolerance, and the two readers of input: the JSON reader raising them, and the
+one reader of matrix rows, which every skeleton weight, implant and group element passes
+through.  Numpy-free, so that every verb loads it and judges its flags before numpy loads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 from itertools import chain
 
 MAX_DIMENSION = 12  # largest accepted n: a 12-cube already has 24576 edges
+DEFAULT_TOL = 1e-9
 NOT_A_MATRIX = "is not 9 numbers or a 3x3 nested list"
 _FLOAT_MAX = sys.float_info.max
 
@@ -57,6 +59,19 @@ class PathError(NGroupoidError):
 
 class FormatError(NGroupoidError):
     """A structured input file fails to parse or validate."""
+
+
+def check_tolerance(tol: object, name: str = "tolerance") -> float:
+    """A comparison tolerance: a finite number > 0, numpy scalars included, not a boolean.
+
+    Anything else raises ValueError, naming the value ``name``.
+    """
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(tol, (np.integer, np.floating)):
+        tol = tol.item()
+    if type(tol) not in (int, float) or not 0 < tol <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
+    return float(tol)
 
 
 def read_json(path: str) -> object:

@@ -21,12 +21,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, GroupValidationError
+from .errors import DEFAULT_TOL, FormatError, GroupValidationError, check_tolerance
 from .matrices import (
-    DEFAULT_TOL,
     IDENTITY,
     check_invertible,
-    check_tolerance,
     close_to_any,
     first_invalid,
     inv,
@@ -34,6 +32,8 @@ from .matrices import (
 )
 
 Label = str | int
+
+_PAIRS = 2**14  # matrix pairs compared at once by a group's duplicate and product tests
 
 
 def _preset_groups() -> dict[str, list[np.ndarray]]:
@@ -96,10 +96,12 @@ class SymmetryGroup:
             raise GroupValidationError("symmetry group is empty")
         if not close_to_any(IDENTITY, G, tol):
             raise GroupValidationError("symmetry group lacks the identity")
-        if np.triu(rel_distances(G[:, None], G) <= tol, 1).any():
-            raise GroupValidationError("duplicate group elements")
+        rows = max(1, _PAIRS // len(G))  # elements per duplicate test
+        for i in range(0, len(G), rows):  # each pair once: element i + r against those after it
+            if np.triu(rel_distances(G[i:i + rows, None], G) <= tol, 1 + i).any():
+                raise GroupValidationError("duplicate group elements")
         has_inverse = close_to_any(inv(G), G, tol)
-        step = max(1, 2**14 // len(G) ** 2)  # elements per product test, of at most 2**14 pairs
+        step = max(1, _PAIRS // len(G) ** 2)  # elements per product test
         for i, ok in enumerate(has_inverse):
             if i % step == 0:
                 closed = close_to_any(G[i:i + step, None] @ G, G, tol).all(axis=1)

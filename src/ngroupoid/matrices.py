@@ -4,20 +4,19 @@ All weights in this package are real 3x3 matrices acting on reference
 crystal bases, stored as float64 numpy arrays.  Every matrix read from
 input, a skeleton weight, an implant or a group element, is read by
 errors.packed_rows and tested here by first_invalid.  Comparisons are
-relative Frobenius distances so that tolerances survive rescaling.
+relative Frobenius distances so that tolerances survive rescaling; the
+tolerance rule and its default are numpy-free, in errors.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NOT_A_MATRIX, packed_rows
+from .errors import DEFAULT_TOL, NOT_A_MATRIX, packed_rows
 
 DET_THRESHOLD = 1e-12
-DEFAULT_TOL = 1e-9
 
 IDENTITY = np.eye(3)
 inv, det = np.linalg.inv, np.linalg.det  # every inverse and determinant; bits vary by BLAS kernel
@@ -41,18 +40,6 @@ def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
     if malformed is not None:
         raise ValueError(f"{name(malformed)} {NOT_A_MATRIX}")
     return ms
-
-
-def check_tolerance(tol: object, name: str = "tolerance") -> float:
-    """A comparison tolerance: a finite number > 0, numpy scalars included, not a boolean.
-
-    Anything else raises ValueError, naming the value ``name``.
-    """
-    if isinstance(tol, (np.integer, np.floating)):
-        tol = tol.item()
-    if type(tol) not in (int, float) or not 0 < tol <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
-    return float(tol)
 
 
 def rel_distance(a: np.ndarray, b: np.ndarray) -> float:

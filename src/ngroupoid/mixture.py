@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, GroupValidationError, read_json
+from .errors import DEFAULT_TOL, FormatError, GroupValidationError, check_tolerance, read_json
 from .groupoid import ConstituentGroupoid, Label, SymmetryGroup
-from .matrices import DEFAULT_TOL, check_tolerance
 
 
 @dataclass

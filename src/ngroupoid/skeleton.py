@@ -16,14 +16,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import (CompositionError, ConstructionHalted, FormatError,
-                     UnknownBasePointError, read_json)
+from .errors import (DEFAULT_TOL, CompositionError, ConstructionHalted, FormatError,
+                     UnknownBasePointError, check_tolerance, read_json)
 from .hypercube import Edge, HypercubeSkeleton
 from .lean import in_halves, skeleton_parts
 from .matrices import (
-    DEFAULT_TOL,
     IDENTITY,
-    check_tolerance,
     close_to_any,
     first_invalid,
     inv,

@@ -57,6 +57,8 @@ def test_path_weight_rejects_broken_chain():
     T = random_conservative(2, seed=0)
     with pytest.raises(PathError):
         path_weight(T, [0, 3])
+    with pytest.raises(ValueError, match="^vertex 4 out of range for dimension 2$"):
+        path_weight(T, [0, 1 << T.n])
 
 
 def test_face2_all_units_commutes():
@@ -235,6 +237,8 @@ def test_core_unknown_point(data_dir):
     mix = load_mixture(str(data_dir / "mixture_identical.json"))
     with pytest.raises(UnknownBasePointError):
         core_arrows(mix, "X", "Q")
+    with pytest.raises(ValueError, match=r"^axis must lie in 1\.\.2, got 0$"):
+        mix.constituent(0)
 
 
 def test_core_closure_and_inverse(data_dir):

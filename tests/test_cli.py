@@ -607,6 +607,7 @@ RUN_VERB = "from ngroupoid.cli import main; main({!r})"
 LOADED = [
     ("import ngroupoid", set()),
     ("import ngroupoid; ngroupoid.hypercube", {"errors", "hypercube", "numpy"}),
+    ("import ngroupoid; ngroupoid.DEFAULT_TOL", {"errors"}),
     (RUN_VERB.format(["skeleton", "--n", "1"]), {"cli", "errors", "hypercube", "numpy"}),
     (RUN_VERB.format(["check", "c.json"]),
      {"analysis", "cli", "errors", "hypercube", "lean", "matrices", "numpy", "skeleton"}),
@@ -619,12 +620,18 @@ LOADED = [
     (RUN_VERB.format(["check", "mc.json", "--mixture", "m.json"]),
      {"analysis", "cli", "errors", "groupoid", "hypercube", "lean", "matrices", "mixture",
       "numpy", "skeleton"}),
+    # a flag error is found by cli and errors alone, before any numpy module loads
+    (RUN_VERB.format(["generate", "--n", "13"]), {"cli", "errors"}),
+    (RUN_VERB.format(["skeleton", "--n", "3", "--h", "5"]), {"cli", "errors"}),
+    (RUN_VERB.format(["verify-theorem", "--n", "2", "--trials", "0"]), {"cli", "errors"}),
+    (RUN_VERB.format(["check", "c.json", "--tol", "0"]), {"cli", "errors"}),
 ]
 
 
 @pytest.mark.parametrize("code, expected", LOADED, ids=[
-    "import", "submodule-attribute", "skeleton", "check", "generate", "compose", "uniformity",
-    "check-mixture"])
+    "import", "submodule-attribute", "default-tol", "skeleton", "check", "generate", "compose",
+    "uniformity", "check-mixture", "generate-bad-n", "skeleton-bad-h", "verify-bad-trials",
+    "check-bad-tol"])
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path, code, expected):
     write_inputs(tmp_path)
     report = ("import sys; print(*sorted(m.removeprefix('ngroupoid.') for m in sys.modules "

@@ -480,6 +480,11 @@ def test_each_verb_parses_each_skeleton_file_once(monkeypatch, tmp_path, check_f
     pytest.param(["compose", "units12", "units12"], "[False, False, True, 0]",
                  id="compose-units12-[False, False, True, 0]"),
     pytest.param(["compose", "units3", "units3"], "[0]", id="compose-units3-[0]"),
+    # parsing --tol loads no numpy, so the readers still fork
+    pytest.param(["check", "n12", "--tol", "1e-9"], "[False, True, 1]",
+                 id="n12-tol-[False, True, 1]"),
+    pytest.param(["compose", "units12", "units12", "--tol", "1e-9"], "[False, False, True, 0]",
+                 id="compose-units12-tol-[False, False, True, 0]"),
 ])
 def test_check_forks_its_reader_before_numpy_loads(check_files, tmp_path, argv, seen):
     # a fresh interpreter, since this one has numpy loaded already
@@ -492,9 +497,9 @@ def test_check_forks_its_reader_before_numpy_loads(check_files, tmp_path, argv, 
             "from ngroupoid.cli import main\n"
             "seen.append(main(sys.argv[1:]))\n"
             "print(seen, file=sys.stderr)\n")
-    verb, *files = argv
+    verb, *rest = argv
     extra = ["--axis", "1", "--out", str(tmp_path / "out.json")] if verb == "compose" else []
-    proc = run_python(["-c", code, verb, *(str(check_files[f]) for f in files), *extra],
+    proc = run_python(["-c", code, verb, *(str(check_files.get(a, a)) for a in rest), *extra],
                       tmp_path)
     assert proc.stderr.splitlines()[-1] == seen
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,30 @@ def test_group_rejects_missing_identity():
 def test_group_rejects_duplicates():
     with pytest.raises(GroupValidationError):
         SymmetryGroup([I3, I3])
+
+
+def rotations_about_z(k):
+    """The cyclic group C_k: rotations by 2*pi*j/k about z, j = 0..k-1."""
+    angles = 2 * np.pi * np.arange(k) / k
+    c, s = np.cos(angles), np.sin(angles)
+    G = np.zeros((k, 3, 3))
+    G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1], G[:, 2, 2] = c, -s, s, c, 1.0
+    return G
+
+
+def test_group_validation_compares_pairs_in_blocks():
+    # all |G|**2 pairs at once would hold about 300 bytes each, 79 MB for C_512
+    G = rotations_about_z(512)
+    tracemalloc.start()
+    try:
+        assert len(SymmetryGroup(G)) == 512
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    # a duplicate of the last element is compared in the last block
+    with pytest.raises(GroupValidationError, match="^duplicate group elements$"):
+        SymmetryGroup([*G, G[-1] * (1 + 1e-12)])
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])

@@ -167,6 +167,8 @@ def test_inverse_law(axis):
     unit = unit_skeleton(source_facet(T, axis), axis)
     assert compose(inverse_axis(T, axis), T, axis).close_to(unit, 1e-9)
     assert inverse_axis(inverse_axis(T, axis), axis).close_to(T, 1e-9)
+    with pytest.raises(ValueError, match=r"^axis must lie in 1\.\.2, got 0$"):
+        inverse_axis(T, 0)
 
 
 def test_compose_multiplies_axis_weights():
@@ -219,6 +221,8 @@ def test_compose_rejects_dimension_mismatch():
     B = random_conservative(3, seed=0)
     with pytest.raises(CompositionError, match="dimension"):
         compose(B, A, 1)
+    with pytest.raises(CompositionError, match=r"^axis must lie in 1\.\.2, got 0$"):
+        compose(A, A, 0)
 
 
 def test_interchange_all_units():
@@ -248,11 +252,14 @@ def test_interchange_needs_distinct_axes():
     T = random_conservative(2, seed=0)
     with pytest.raises(ValueError):
         interchange_check(T, T, T, T, 1, 1)
+    with pytest.raises(ValueError, match="^need two distinct axes$"):
+        random_interchange_quadruple(3, 1, 1)
 
 
 def test_roundtrip_exact():
     T = random_conservative(3, seed=77)
     assert skeleton_from_dict(skeleton_to_dict(T)) == T
+    assert T.__eq__(object()) is NotImplemented and T != object()
 
 
 def test_roundtrip_through_file(tmp_path):
