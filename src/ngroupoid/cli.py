@@ -80,7 +80,7 @@ def cmd_skeleton(args) -> int:
     )
     if n <= 6:
         for axis in range(1, n + 1):
-            f0, f1 = (",".join(map(str, skel.facet(axis, bit)[0].tolist())) for bit in (0, 1))
+            f0, f1 = (",".join(map(str, skel.facet_vertices(axis, bit))) for bit in (0, 1))
             print(f"facet pair axis {axis}: {{{f0}}} / {{{f1}}}")
     else:
         print(f"facet pairs: {2 * n} facets, 2 per axis")

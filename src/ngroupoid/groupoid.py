@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DEFAULT_TOL, FormatError, GroupValidationError, check_tolerance
 from .matrices import (
+    _PAIRS,
     IDENTITY,
     check_invertible,
     close_to_any,
@@ -32,8 +33,6 @@ from .matrices import (
 )
 
 Label = str | int
-
-_PAIRS = 2**14  # matrix pairs compared at once by a group's duplicate and product tests
 
 
 def _preset_groups() -> dict[str, list[np.ndarray]]:

@@ -7,6 +7,8 @@ endpoint whose axis coordinate is 0 towards the endpoint where it is 1, so
 vertex 0 is the global source of the skeleton.
 
 Everything here is label combinatorics; there is no geometric embedding.
+Counts, labels and facet_vertices are integer arithmetic; numpy loads only
+where an array table is first built: edge_index and the tables read from it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import combinations, product
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import MAX_DIMENSION
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Edge(NamedTuple):
@@ -95,6 +98,7 @@ class HypercubeSkeleton:
     @cached_property
     def edge_index(self) -> np.ndarray:
         """Position in edges() by [tail, axis - 1]; -1 where tail has the axis bit."""
+        import numpy as np
         free = (np.arange(self.num_vertices)[:, None] >> np.arange(self.n)[::-1]) & 1 == 0
         index = np.full(free.shape, -1, dtype=np.intp)
         index[free] = np.arange(np.count_nonzero(free))
@@ -104,7 +108,7 @@ class HypercubeSkeleton:
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Tails and axes of edges(), as two integer arrays in that order."""
-        tails, cols = np.nonzero(self.edge_index >= 0)
+        tails, cols = (self.edge_index >= 0).nonzero()
         return tails, cols + 1
 
     @cached_property
@@ -121,6 +125,7 @@ class HypercubeSkeleton:
         of the (S, 4) array ``edges`` holds the edge rows of square k's two
         paths from its corner: lo then hi, and hi then lo.
         """
+        import numpy as np
         lo, hi = np.triu_indices(self.n, 1)
         idx = self.edge_index
         corner, pair = np.nonzero((idx[:, lo] >= 0) & (idx[:, hi] >= 0))
@@ -130,14 +135,20 @@ class HypercubeSkeleton:
                           first_hi, idx[heads[first_hi], lo]], axis=1)
         return corner, lo + 1, hi + 1, edges
 
+    def facet_vertices(self, axis: int, bit: int) -> list[int]:
+        """The facet where ``axis`` is ``bit`` as n-cube vertices, in the (n-1)-cube's order."""
+        on = self.axis_bit(axis)
+        return [v for v in self.vertices if (v & on != 0) == bit]
+
     def facet(self, axis: int, bit: int) -> tuple[np.ndarray, np.ndarray]:
         """The facet where ``axis`` is ``bit``, in the (n-1)-cube's numbering: the
         n-cube vertex of each facet vertex and the edge row of each facet edge.
         """
+        import numpy as np
         # dropping one bit keeps vertex order, and dropping one axis (tail, axis) order
-        on = (np.arange(self.num_vertices) & self.axis_bit(axis) != 0) == bit
-        tails, axes = self.edge_arrays
-        return np.flatnonzero(on), np.flatnonzero(on[tails] & (axes != axis))
+        vertices = np.array(self.facet_vertices(axis, bit), dtype=np.intp)
+        rows = np.delete(self.edge_index[vertices], axis - 1, axis=1)
+        return vertices, rows[rows >= 0]
 
     def check_edge(self, edge: Edge) -> None:
         from .lean import edge_fault  # the skeleton reader's texts

@@ -22,6 +22,7 @@ IDENTITY = np.eye(3)
 inv, det = np.linalg.inv, np.linalg.det  # every inverse and determinant; bits vary by BLAS kernel
 
 _SQRT3 = np.sqrt(3.0)
+_PAIRS = 2**14  # matrix pairs compared at once by close_to_any and by a group's own tests
 
 
 def check_invertible(rows: Sequence, name: Callable[[int], str]) -> np.ndarray:
@@ -124,11 +125,14 @@ def close_to_any(ms: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
     rows, flat = np.asarray(ms, dtype=float).reshape(-1, 3, 3), stack.reshape(-1, 9)
     hit = np.zeros(len(rows), dtype=bool)
     if len(flat):
-        with np.errstate(all="ignore"):  # an overflow only spoils the pick
-            near = ((flat * flat).sum(1) - 2.0 * (rows.reshape(-1, 9) @ flat.T)).argmin(1)
-        hit = rel_distances(rows, stack[near]) <= tol
-        if not hit.all():
-            hit[~hit] = (rel_distances(rows[~hit, None], stack) <= tol).any(axis=-1)
+        step = max(1, _PAIRS // len(flat))  # rows tested at once, each against every candidate
+        for i in range(0, len(rows), step):
+            part, ok = rows[i:i + step], hit[i:i + step]
+            with np.errstate(all="ignore"):  # an overflow only spoils the pick
+                near = ((flat * flat).sum(1) - 2.0 * (part.reshape(-1, 9) @ flat.T)).argmin(1)
+            ok[:] = rel_distances(part, stack[near]) <= tol
+            if not ok.all():
+                ok[~ok] = (rel_distances(part[~ok, None], stack) <= tol).any(axis=-1)
     return hit.reshape(np.shape(ms)[:-2])[()]
 
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import scalar_reference as ref
-from ngroupoid import analysis
+from ngroupoid import analysis, matrices
 from ngroupoid.analysis import (
     circuit_steps,
     conservative_oracle,
@@ -231,8 +231,17 @@ def close_to_any_cases():
     ]
 
 
-@pytest.mark.parametrize("ms, stack, tol", close_to_any_cases())
-def test_close_to_any_matches_every_pair(ms, stack, tol):
+def also_in_16_pair_blocks(cases):
+    """Each case as it is, and again with close_to_any comparing at most 16 pairs at once,
+    so that its rows cross block edges."""
+    return [*(pytest.param(*case.values, None, id=case.id) for case in cases),
+            *(pytest.param(*case.values, 16, id=f"{case.id}-16-pairs") for case in cases)]
+
+
+@pytest.mark.parametrize("ms, stack, tol, pairs", also_in_16_pair_blocks(close_to_any_cases()))
+def test_close_to_any_matches_every_pair(monkeypatch, ms, stack, tol, pairs):
+    if pairs:
+        monkeypatch.setattr(matrices, "_PAIRS", pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = close_to_any(ms, stack, tol)
@@ -275,7 +284,10 @@ def stack_and_rows(draw):
 def test_close_to_any_matches_every_pair_at_the_tolerance_edge(case):
     rows, stack, tol = case
     want = (rel_distances(rows[:, None], stack) <= tol).any(-1)
-    assert close_to_any(rows, stack, tol).tolist() == want.tolist()
+    for pairs in (matrices._PAIRS, 16):  # the second crosses block edges, as above
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrices, "_PAIRS", pairs)
+            assert close_to_any(rows, stack, tol).tolist() == want.tolist()
 
 
 # -- groupoid layer --------------------------------------------------------------

@@ -606,9 +606,12 @@ def test_unwritable_out_exits_2_without_a_traceback(tmp_path, data_dir, argv, fi
 RUN_VERB = "from ngroupoid.cli import main; main({!r})"
 LOADED = [
     ("import ngroupoid", set()),
-    ("import ngroupoid; ngroupoid.hypercube", {"errors", "hypercube", "numpy"}),
+    ("import ngroupoid; ngroupoid.hypercube", {"errors", "hypercube"}),
     ("import ngroupoid; ngroupoid.DEFAULT_TOL", {"errors"}),
-    (RUN_VERB.format(["skeleton", "--n", "1"]), {"cli", "errors", "hypercube", "numpy"}),
+    # the counts and facet pairs are integer arithmetic; only the edge table loads numpy
+    (RUN_VERB.format(["skeleton", "--n", "1"]), {"cli", "errors", "hypercube"}),
+    (RUN_VERB.format(["skeleton", "--n", "6"]), {"cli", "errors", "hypercube"}),
+    (RUN_VERB.format(["skeleton", "--n", "2", "--edges"]), {"cli", "errors", "hypercube", "numpy"}),
     (RUN_VERB.format(["check", "c.json"]),
      {"analysis", "cli", "errors", "hypercube", "lean", "matrices", "numpy", "skeleton"}),
     (RUN_VERB.format(["generate", "--n", "2", "--out", "g.json"]),
@@ -629,9 +632,9 @@ LOADED = [
 
 
 @pytest.mark.parametrize("code, expected", LOADED, ids=[
-    "import", "submodule-attribute", "default-tol", "skeleton", "check", "generate", "compose",
-    "uniformity", "check-mixture", "generate-bad-n", "skeleton-bad-h", "verify-bad-trials",
-    "check-bad-tol"])
+    "import", "submodule-attribute", "default-tol", "skeleton", "skeleton-n6", "skeleton-edges",
+    "check", "generate", "compose", "uniformity", "check-mixture", "generate-bad-n",
+    "skeleton-bad-h", "verify-bad-trials", "check-bad-tol"])
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path, code, expected):
     write_inputs(tmp_path)
     report = ("import sys; print(*sorted(m.removeprefix('ngroupoid.') for m in sys.modules "

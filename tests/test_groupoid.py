@@ -181,6 +181,23 @@ def test_group_validation_compares_pairs_in_blocks():
         SymmetryGroup([*G, G[-1] * (1 + 1e-12)])
 
 
+@pytest.mark.parametrize("scale, member, bound", [(1.0, True, 1e6), (1 + 1e-3, False, 10e6)],
+                         ids=["members", "misses"])
+def test_close_to_any_tests_rows_in_blocks(scale, member, bound):
+    # 512 rows against C_512 at once peak at 4 MB, and at 75 MB when every row
+    # misses its nearest candidate and is compared with all
+    G = rotations_about_z(512)
+    rows = (G[5] @ G) * scale
+    tracemalloc.start()
+    try:
+        hit = close_to_any(rows, G, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit.tolist() == [member] * 512
+    assert peak < bound
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_mixture_spec_checks_its_tolerance(tol):
     a, b = (ConstituentGroupoid(name, {"X": I3}, SymmetryGroup.from_spec("trivial"))

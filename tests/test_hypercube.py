@@ -102,11 +102,17 @@ def test_facet_matches_insert_axis():
         skel, sub = HypercubeSkeleton(n), HypercubeSkeleton(n - 1)
         tails, axes = sub.edge_arrays
         for axis, bit in itertools.product(range(1, n + 1), (0, 1)):
+            # the bit rule: the facet holds the vertices whose axis digit is bit, in order
+            on = [v for v in skel.vertices if v >> (n - axis) & 1 == bit]
+            assert skel.facet_vertices(axis, bit) == on
             vertices, rows = skel.facet(axis, bit)
             expected = insert_axis(n, np.arange(sub.num_vertices), axis, bit)
-            assert vertices.tolist() == expected.tolist()
+            assert vertices.tolist() == expected.tolist() == on
             big_axes = axes + (axes >= axis)
             assert rows.tolist() == skel.edge_index[expected[tails], big_axes - 1].tolist()
+            # both ends of each facet edge lie on the facet
+            ends = {*skel.edge_arrays[0][rows].tolist(), *skel.edge_heads[rows].tolist()}
+            assert ends <= set(on)
 
 
 def test_facet_pair_examples():
